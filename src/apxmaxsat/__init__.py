@@ -6,11 +6,11 @@ from .clustering import (Partition, WeightScheme, distinct_weight_count,
                          is_bmo, partition, representative_weight)
 from .encodings import CnfBuffer, GeneralizedTotalizer, Totalizer
 from .harness import (ScoreTable, brute_force_optimum, run_benchmarks, score)
-from .satcore import PipeSolver, SatSolver, Status
+from .satcore import SatSolver, Status
 from .search import (APX_SUBPROB, APX_WEIGHT, CLUSTERS_WEIGHTS,
                      OPTIMUM_FOR_APPROXIMATION, SATISFIABLE, UNKNOWN,
                      UNSATISFIABLE, SearchConfig, SearchReport, check_hard,
-                     solve, solve_apx_subprob, solve_apx_weight)
+                     solve)
 from .wcnf import (Clause, Model, RelaxedFormula, WcnfFormula, WcnfParseError,
                    check_model, cost, parse_wcnf, relax, serialize_wcnf)
 
@@ -18,12 +18,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "APX_SUBPROB", "APX_WEIGHT", "CLUSTERS_WEIGHTS", "Clause", "CnfBuffer",
-    "GeneralizedTotalizer", "Model", "OPTIMUM_FOR_APPROXIMATION", "Partition", "PipeSolver",
+    "GeneralizedTotalizer", "Model", "OPTIMUM_FOR_APPROXIMATION", "Partition",
     "RelaxedFormula", "SATISFIABLE", "SatSolver", "ScoreTable", "SearchConfig",
     "SearchReport", "Status", "Totalizer", "UNKNOWN", "UNSATISFIABLE",
     "WcnfFormula", "WcnfParseError", "WeightScheme", "brute_force_optimum",
     "check_hard", "check_model", "cost", "distinct_weight_count", "is_bmo",
     "parse_wcnf", "partition", "relax", "representative_weight",
-    "run_benchmarks", "score", "serialize_wcnf", "solve", "solve_apx_subprob",
-    "solve_apx_weight",
+    "run_benchmarks", "score", "serialize_wcnf", "solve",
 ]

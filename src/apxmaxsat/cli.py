@@ -176,10 +176,14 @@ def _cmd_bench(args) -> int:
     if not Path(args.directory).is_dir():
         print(f"apxmaxsat: not a directory: {args.directory}", file=sys.stderr)
         return EXIT_ERROR
-    table = harness.run_benchmarks(
-        args.directory, configs, timeout_s=args.timeout,
-        max_conflicts=args.conflicts, workers=args.workers,
-        sidecar=args.sidecar)
+    try:
+        table = harness.run_benchmarks(
+            args.directory, configs, timeout_s=args.timeout,
+            max_conflicts=args.conflicts, workers=args.workers,
+            sidecar=args.sidecar)
+    except (OSError, ValueError) as e:  # bad sidecar or duplicate configs
+        print(f"apxmaxsat: {e}", file=sys.stderr)
+        return EXIT_ERROR
     print(table.table_text(), end="")
     if args.report:
         harness.write_report(table, args.report)
@@ -193,7 +197,11 @@ def _cmd_encode(args) -> int:
             return EXIT_ERROR
         buf = CnfBuffer(args.inputs)
         tot = Totalizer(range(1, args.inputs + 1), buf)
-        tot.set_bound(args.bound, buf)
+        try:
+            tot.set_bound(args.bound, buf)
+        except ValueError as e:
+            print(f"apxmaxsat: {e}", file=sys.stderr)
+            return EXIT_ERROR
     else:
         if not args.weights:
             print("apxmaxsat: pb needs --weights w1,w2,...", file=sys.stderr)

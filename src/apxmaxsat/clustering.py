@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .wcnf import RelaxedFormula, WcnfFormula
+from .wcnf import WcnfFormula
 
 
 @dataclass(frozen=True)
@@ -40,22 +40,12 @@ class WeightScheme:
 
     weight_m is constant on each cluster and equals that cluster's rep
     entry; with m=0 (or m >= #distinct weights) it equals weight pointwise,
-    and rep is empty for m=0 since no substitution happens. The per-
-    relaxation-variable cost maps are induced through a RelaxedFormula.
+    and rep is empty for m=0 since no substitution happens.
     """
 
     weight: tuple[int, ...]
     weight_m: tuple[int, ...]
     rep: tuple[int, ...]
-    cluster_of: tuple[int, ...]
-
-    def relax_cost(self, relaxed: RelaxedFormula, assignment) -> int:
-        """Sum of original weights over true relaxation variables."""
-        return sum(w for w, r in zip(self.weight, relaxed.relax_of) if assignment[r])
-
-    def relax_cost_m(self, relaxed: RelaxedFormula, assignment) -> int:
-        """Sum of approximated weights over true relaxation variables."""
-        return sum(w for w, r in zip(self.weight_m, relaxed.relax_of) if assignment[r])
 
 
 def representative_weight(weights) -> int:
@@ -91,11 +81,9 @@ def partition(f: WcnfFormula, m: int) -> tuple[Partition, WeightScheme]:
         if n:
             order = sorted(range(n), key=lambda i: (weights[i], i))
             clusters = (tuple(order),)
-            cluster_of = tuple(0 for _ in range(n))
         else:
             clusters = ()
-            cluster_of = ()
-        scheme = WeightScheme(tuple(weights), tuple(weights), (), cluster_of)
+        scheme = WeightScheme(tuple(weights), tuple(weights), ())
         return Partition(clusters, 0, ()), scheme
     if n == 0:
         raise ValueError("m >= 1 requires at least one soft clause")
@@ -113,12 +101,10 @@ def partition(f: WcnfFormula, m: int) -> tuple[Partition, WeightScheme]:
     built.append(tuple(order[start:]))
     rep = tuple(representative_weight(weights[i] for i in cl) for cl in built)
     weight_m = [0] * n
-    cluster_of = [0] * n
     for ci, cl in enumerate(built):
         for i in cl:
             weight_m[i] = rep[ci]
-            cluster_of[i] = ci
-    scheme = WeightScheme(tuple(weights), tuple(weight_m), rep, tuple(cluster_of))
+    scheme = WeightScheme(tuple(weights), tuple(weight_m), rep)
     return Partition(tuple(built), m, tuple(chosen)), scheme
 
 

@@ -301,14 +301,18 @@ def _run_task(args):
 
 def load_best_known(path) -> dict[str, int]:
     """Read a sidecar of externally known costs: one `<instance> <cost>`
-    pair per line."""
+    pair per line. A malformed line raises ValueError naming its number."""
     out: dict[str, int] = {}
-    for raw in Path(path).read_text().splitlines():
+    for num, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        name, cost_s = line.rsplit(maxsplit=1)
-        out[name] = int(cost_s)
+        try:
+            name, cost_s = line.rsplit(maxsplit=1)
+            out[name] = int(cost_s)
+        except ValueError:
+            raise ValueError(f"{path}: line {num}: expected '<instance> <cost>', "
+                             f"got {line!r}") from None
     return out
 
 

@@ -6,14 +6,17 @@ saving (default polarity false), geometric restarts, and activity-based
 learned-clause deletion. Clauses can be added between solve calls; clauses
 are never retracted, so the database only grows within a search episode.
 
+A solve call may take assumptions (MiniSat style): literals that hold for
+that call only. Assumption i is decided at level i+1 before any branching;
+when one is already false at its turn the call returns UNSAT and the
+solver stays usable, so a bound tried as an assumption is retracted simply
+by not assuming it again. Learned clauses never depend on assumptions and
+are kept across calls.
+
 Solving is budgeted: a wall-clock budget, a conflict budget, and a
 cooperative stop callback are each polled at least once per conflict, and
 exhaustion yields UNKNOWN. A fixed seed makes runs reproducible; the seed
 only feeds occasional random branching decisions.
-
-PipeSolver is an optional adapter with the same narrow surface
-(new_var/add_clause/solve) that ships the clause database as DIMACS CNF to
-an external solver process instead; the bundled CDCL is the default.
 
 A solver instance is single-threaded; run independent instances for
 parallelism.
@@ -22,12 +25,12 @@ parallelism.
 from __future__ import annotations
 
 import random
-import subprocess
 import time
 from enum import Enum
 from heapq import heappop, heappush
 
 _RESCALE_LIMIT = 1e100
+_RANDOM_DECISION_FREQ = 0.02
 
 
 class Status(Enum):
@@ -55,8 +58,7 @@ class SatSolver:
     level-0 conflict) makes every future solve return UNSAT.
     """
 
-    def __init__(self, num_vars: int = 0, seed: int = 0,
-                 random_decision_freq: float = 0.02):
+    def __init__(self, num_vars: int = 0, seed: int = 0):
         self.num_vars = 0
         self.ok = True
         self.clauses: list[_Clause] = []
@@ -77,7 +79,6 @@ class SatSolver:
         self.cla_inc = 1.0
         self.cla_decay_inv = 1.0 / 0.999
         self.rng = random.Random(seed)
-        self.random_decision_freq = random_decision_freq
         self._max_learnts: float | None = None
         self.stats = {"conflicts": 0, "decisions": 0, "restarts": 0, "reductions": 0}
         for _ in range(num_vars):
@@ -315,8 +316,7 @@ class SatSolver:
 
     def _pick_branch(self) -> int | None:
         value = self.value
-        if self.random_decision_freq > 0.0 and self.num_vars > 0 \
-                and self.rng.random() < self.random_decision_freq:
+        if self.num_vars > 0 and self.rng.random() < _RANDOM_DECISION_FREQ:
             v = self.rng.randint(1, self.num_vars)
             if value[v] == 0:
                 return v
@@ -325,9 +325,6 @@ class SatSolver:
         while heap:
             na, v = heappop(heap)
             if value[v] == 0 and -na == act[v]:
-                return v
-        for v in range(1, self.num_vars + 1):  # safety net; normally dead
-            if value[v] == 0:
                 return v
         return None
 
@@ -357,14 +354,22 @@ class SatSolver:
 
     def solve(self, time_budget: float | None = None,
               conflict_budget: int | None = None,
-              stop=None) -> tuple[Status, dict[int, bool] | None]:
+              stop=None, assumptions=()) -> tuple[Status, dict[int, bool] | None]:
         """Run CDCL until SAT, UNSAT, or a budget fires.
 
-        SAT comes with a total assignment over variables 1..num_vars; UNSAT
-        is a level-0 refutation and is permanent; UNKNOWN is returned only
-        when time_budget, conflict_budget, or stop() fired. Budgets are
-        polled once per conflict (and periodically between decisions).
+        SAT comes with a total assignment over variables 1..num_vars that
+        makes every assumption true. UNSAT is either a level-0 refutation,
+        which is permanent, or a proof that the clauses and the assumptions
+        cannot hold together, which leaves the solver usable. UNKNOWN is
+        returned only when time_budget, conflict_budget, or stop() fired.
+        Budgets are polled once per conflict (and periodically between
+        decisions).
         """
+        assumptions = [int(l) for l in assumptions]
+        for l in assumptions:
+            if l == 0:
+                raise ValueError("0 is not a literal")
+            self._ensure_var(abs(l))
         if time_budget is not None and time_budget <= 0:
             return Status.UNKNOWN, None
         if conflict_budget is not None and conflict_budget <= 0:
@@ -410,84 +415,29 @@ class SatSolver:
                 if len(self.learnts) >= self._max_learnts + len(self.trail):
                     self._reduce_db()
             else:
-                v = self._pick_branch()
-                if v is None:
-                    model = {u: self.value[u] == 1
-                             for u in range(1, self.num_vars + 1)}
-                    return Status.SAT, model
-                decisions += 1
-                self.stats["decisions"] += 1
-                if decisions & 1023 == 0:
-                    if stop is not None and stop():
-                        return Status.UNKNOWN, None
-                    if deadline is not None and time.monotonic() >= deadline:
-                        return Status.UNKNOWN, None
+                lit = 0
+                while len(self.trail_lim) < len(assumptions):
+                    p = assumptions[len(self.trail_lim)]
+                    pv = self.value[p] if p > 0 else -self.value[-p]
+                    if pv == -1:
+                        return Status.UNSAT, None
+                    if pv == 0:
+                        lit = p
+                        break
+                    self.trail_lim.append(len(self.trail))  # already true
+                if lit == 0:
+                    v = self._pick_branch()
+                    if v is None:
+                        model = {u: self.value[u] == 1
+                                 for u in range(1, self.num_vars + 1)}
+                        return Status.SAT, model
+                    decisions += 1
+                    self.stats["decisions"] += 1
+                    if decisions & 1023 == 0:
+                        if stop is not None and stop():
+                            return Status.UNKNOWN, None
+                        if deadline is not None and time.monotonic() >= deadline:
+                            return Status.UNKNOWN, None
+                    lit = v if self.phase[v] else -v
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(v if self.phase[v] else -v, None)
-
-
-class PipeSolver:
-    """Text-pipe adapter to an external DIMACS solver.
-
-    Buffers clauses, and on solve() writes the database as DIMACS CNF to the
-    child process's stdin and reads the standard competition output: an
-    `s SATISFIABLE` / `s UNSATISFIABLE` line plus `v` lines of signed
-    literals. Anything else (including a timeout) maps to UNKNOWN. Conflict
-    budgets and stop callbacks are not forwarded; only the wall-clock budget
-    applies, as a process timeout.
-    """
-
-    def __init__(self, cmd, num_vars: int = 0):
-        self.cmd = list(cmd)
-        self.num_vars = num_vars
-        self.clauses: list[tuple[int, ...]] = []
-
-    def new_var(self) -> int:
-        self.num_vars += 1
-        return self.num_vars
-
-    def _ensure_var(self, v: int) -> None:
-        self.num_vars = max(self.num_vars, v)
-
-    def add_clause(self, lits) -> None:
-        out = []
-        for l in lits:
-            l = int(l)
-            if l == 0:
-                raise ValueError("0 is not a literal")
-            self._ensure_var(abs(l))
-            out.append(l)
-        self.clauses.append(tuple(out))
-
-    def _dimacs(self) -> str:
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for c in self.clauses:
-            lines.append(" ".join(map(str, c)) + " 0")
-        return "\n".join(lines) + "\n"
-
-    def solve(self, time_budget: float | None = None,
-              conflict_budget: int | None = None,
-              stop=None) -> tuple[Status, dict[int, bool] | None]:
-        if time_budget is not None and time_budget <= 0:
-            return Status.UNKNOWN, None
-        try:
-            proc = subprocess.run(self.cmd, input=self._dimacs(),
-                                  capture_output=True, text=True,
-                                  timeout=time_budget)
-        except (subprocess.TimeoutExpired, OSError):
-            return Status.UNKNOWN, None
-        status = None
-        model = {v: False for v in range(1, self.num_vars + 1)}
-        for line in proc.stdout.splitlines():
-            if line.startswith("s "):
-                status = line.split(None, 1)[1].strip()
-            elif line.startswith("v "):
-                for tok in line.split()[1:]:
-                    lit = int(tok)
-                    if lit != 0 and abs(lit) <= self.num_vars:
-                        model[abs(lit)] = lit > 0
-        if status == "UNSATISFIABLE":
-            return Status.UNSAT, None
-        if status == "SATISFIABLE":
-            return Status.SAT, model
-        return Status.UNKNOWN, None
+                self._enqueue(lit, None)

@@ -1,29 +1,36 @@
 """Anytime MaxSAT search.
 
-Two strategies over the relaxed formula:
+Both strategies run one linear Sat-Unsat search over the relaxed formula,
+with one incremental solver for the whole run. The search walks a list of
+objectives, each a weighted sum of relaxation variables:
 
-* apx-weight: linear Sat-Unsat minimization of the approximated cost. Each
-  model tightens a pseudo-Boolean bound (weighted sum of relaxation
-  variables, under the clustered weight map) to one below the model's
-  approximated cost, until unsatisfiable. With m=0 the weight map is exact
-  and the final model is a true optimum.
+* apx-weight has one objective, the relaxation variables under the
+  clustered weight map, bounded with a Generalized Totalizer. With m=0 the
+  weight map is exact and the final model is a true optimum.
 
-* apx-subprob: greedy per-cluster minimization. Clusters are processed in
-  descending representative weight; within a cluster the number of true
-  relaxation variables is minimized with cardinality bounds. When a cluster
-  bottoms out, the working formula is rebuilt from the relaxed formula with
-  the frozen per-cluster bounds re-asserted, and the next cluster starts.
-  Exact when the weight structure is multilevel-dominant (see
-  clustering.is_bmo) and m equals the number of distinct weights.
+* apx-subprob has one unit-weight objective per cluster, heaviest
+  representative weight first, each bounded with a Totalizer: the count of
+  true relaxation variables is minimized cluster by cluster. Exact when
+  the weight structure is multilevel-dominant (see clustering.is_bmo) and
+  m equals the number of distinct weights.
 
-Both record the best model seen by true cost, report every strict
-improvement through a callback before the next solver call, and stop early
-on a wall-clock deadline, a conflict budget, or a cooperative stop flag.
+On a model whose objective value is c, "<= c" is frozen as hard clauses
+and the solver is called again assuming "<= c-1". A model found that way
+lowers c; unsatisfiability under the assumption means c is the minimum
+given every earlier objective's frozen bound, and the search moves on to
+the next objective, starting from the last model. Nothing is rebuilt
+between objectives, so learned clauses carry over.
+
+The best model seen by true cost is recorded, every strict improvement is
+reported through a callback before the next solver call, and the search
+stops early on a wall-clock deadline, a conflict budget, or a cooperative
+stop flag.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -94,14 +101,14 @@ class _Budget:
             return True
         return False
 
-    def solve(self, solver: SatSolver):
+    def solve(self, solver: SatSolver, assumptions=()):
         time_budget = None
         if self.deadline is not None:
             time_budget = self.deadline - time.monotonic()
         before = solver.conflicts
         st, model = solver.solve(time_budget=time_budget,
                                  conflict_budget=self.conflicts_left,
-                                 stop=self.stop)
+                                 stop=self.stop, assumptions=assumptions)
         if self.conflicts_left is not None:
             self.conflicts_left -= solver.conflicts - before
         return st, model
@@ -124,24 +131,6 @@ def check_hard(f: wcnf.WcnfFormula, timeout_s: float | None = None,
     for c in f.hard:
         solver.add_clause(c.lits)
     return solver.solve(time_budget=timeout_s, conflict_budget=max_conflicts)
-
-
-def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchReport:
-    """Dispatch to the configured algorithm."""
-    if cfg.algorithm == APX_WEIGHT:
-        return solve_apx_weight(f, cfg, on_improve)
-    if cfg.algorithm == APX_SUBPROB:
-        return solve_apx_subprob(f, cfg, on_improve)
-    raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
-
-
-def _base_solver(relaxed: wcnf.RelaxedFormula, seed: int) -> SatSolver:
-    solver = SatSolver(relaxed.total_vars, seed=seed)
-    for c in relaxed.base.hard:
-        solver.add_clause(c.lits)
-    for lits in relaxed.relaxed_soft():
-        solver.add_clause(lits)
-    return solver
 
 
 class _Best:
@@ -172,136 +161,81 @@ class _Best:
         return SATISFIABLE if self.model is not None else UNKNOWN
 
 
-def solve_apx_weight(f: wcnf.WcnfFormula, cfg: SearchConfig,
-                     on_improve=None) -> SearchReport:
-    """Linear Sat-Unsat search on the approximated weights.
+def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchReport:
+    """Run the configured strategy as one linear Sat-Unsat search.
 
-    Repeatedly solves the working formula; each model's approximated
-    relaxation cost mu becomes the next strict upper bound (weighted sum of
-    relaxation variables <= mu - 1, encoded once and tightened in place).
-    Unsatisfiability of the bounded formula proves mu is the minimum
-    approximated cost; the best model by true cost is returned, which for
-    m >= 1 is not necessarily a true optimum.
+    With apx-weight the final mu is the minimum approximated cost; the
+    best model by true cost is returned, which for m >= 1 is not
+    necessarily a true optimum. With apx-subprob each cluster's frozen
+    count is minimal given the heavier clusters' counts; the result is not
+    guaranteed globally optimal.
     """
     started = time.monotonic()
+    weighted = cfg.algorithm == APX_WEIGHT
+    if not weighted and cfg.algorithm != APX_SUBPROB:
+        raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
     m = resolve_clusters(f, cfg.clusters)
     if not f.soft:
-        m = 0
-    _, scheme = clustering.partition(f, m)
-    relaxed = wcnf.relax(f)
-    solver = _base_solver(relaxed, cfg.seed)
-    budget = _Budget(cfg)
-    best = _Best(f, scheme, on_improve, started)
-    gte: GeneralizedTotalizer | None = None
-    mu: int | None = None
-    first = True
-    while True:
-        if budget.exhausted():
-            return SearchReport(best.model, best.interrupted_status(),
-                                best.trace, mu=mu)
-        st, assignment = budget.solve(solver)
-        if st is Status.UNKNOWN:
-            return SearchReport(best.model, best.interrupted_status(),
-                                best.trace, mu=mu)
-        if st is Status.UNSAT:
-            if first:
-                return SearchReport(None, UNSATISFIABLE, [])
-            return SearchReport(best.model, OPTIMUM_FOR_APPROXIMATION,
-                                best.trace, mu=mu)
-        best.offer(assignment)
-        mu = scheme.relax_cost_m(relaxed, assignment)
-        if mu == 0:
-            # nothing below zero: the approximated minimum is reached
-            return SearchReport(best.model, OPTIMUM_FOR_APPROXIMATION,
-                                best.trace, mu=0)
-        if first:
-            items = list(zip(relaxed.relax_of, scheme.weight_m))
-            gte = GeneralizedTotalizer(items, mu, solver)
-            first = False
-        gte.set_bound(mu - 1, solver)
-
-
-def solve_apx_subprob(f: wcnf.WcnfFormula, cfg: SearchConfig,
-                      on_improve=None) -> SearchReport:
-    """Greedy per-cluster cardinality minimization, heaviest cluster first.
-
-    For each cluster, the count of true relaxation variables is driven down
-    with a totalizer until unsatisfiable; the last feasible count is frozen.
-    Freezing rebuilds the working formula from the relaxed one and
-    re-asserts the frozen bound of every cluster whose representative
-    weight is at least the current one. The result is not guaranteed
-    globally optimal.
-    """
-    started = time.monotonic()
-    m = resolve_clusters(f, cfg.clusters)
-    budget = _Budget(cfg)
-    if not f.soft:
-        # nothing to minimize: a model of the hard part is already best
-        scheme = clustering.partition(f, 0)[1]
-        best = _Best(f, scheme, on_improve, started)
-        if budget.exhausted():
-            return SearchReport(None, UNKNOWN, [])
-        solver = _base_solver(wcnf.relax(f), cfg.seed)
-        st, assignment = budget.solve(solver)
-        if st is Status.UNSAT:
-            return SearchReport(None, UNSATISFIABLE, [])
-        if st is Status.UNKNOWN:
-            return SearchReport(None, UNKNOWN, [])
-        best.offer(assignment)
-        return SearchReport(best.model, OPTIMUM_FOR_APPROXIMATION, best.trace,
-                            cluster_mu=[])
-    if m < 1:
+        m = 0  # nothing to cluster; apx-subprob gets no objectives
+    elif not weighted and m < 1:
         raise ValueError("apx-subprob needs at least one cluster")
     part, scheme = clustering.partition(f, m)
     relaxed = wcnf.relax(f)
-    nclusters = len(part.clusters)
-    order = sorted(range(nclusters), key=lambda ci: (-scheme.rep[ci], ci))
-    relax_vars = [tuple(relaxed.relax_of[i] for i in cl) for cl in part.clusters]
-    mu: list[int | None] = [None] * nclusters
+    if weighted:
+        objectives = [list(zip(relaxed.relax_of, scheme.weight_m))]
+    else:
+        order = sorted(range(len(part.clusters)),
+                       key=lambda ci: (-scheme.rep[ci], ci))
+        objectives = [[(relaxed.relax_of[i], 1) for i in part.clusters[ci]]
+                      for ci in order]
+    bounds: list[int | None] = [None] * len(objectives)
     best = _Best(f, scheme, on_improve, started)
-    any_model = False
-
-    def assert_frozen(solver: SatSolver, min_rep: int) -> None:
-        for cj in range(nclusters):
-            if mu[cj] is None or scheme.rep[cj] < min_rep:
-                continue
-            k = mu[cj]
-            vs = relax_vars[cj]
-            if k == 0:
-                for r in vs:
-                    solver.add_clause([-r])
-            elif k < len(vs):
-                Totalizer(vs, solver).set_bound(k, solver)
-            # k >= len(vs) bounds nothing
+    budget = _Budget(cfg)
 
     def report(status: str) -> SearchReport:
+        if weighted:
+            return SearchReport(best.model, status, best.trace, mu=bounds[0])
         return SearchReport(best.model, status, best.trace,
-                            cluster_mu=[(ci, mu[ci]) for ci in order])
+                            cluster_mu=list(zip(order, bounds)))
 
-    solver = _base_solver(relaxed, cfg.seed)
-    for pos, ci in enumerate(order):
-        vs = relax_vars[ci]
-        tot: Totalizer | None = None
+    if budget.exhausted():
+        return report(UNKNOWN)
+    solver = SatSolver(relaxed.total_vars, seed=cfg.seed)
+    for clause in f.hard:
+        solver.add_clause(clause.lits)
+    for lits in relaxed.relaxed_soft():
+        solver.add_clause(lits)
+    st, model = budget.solve(solver)
+    if st is Status.UNSAT:
+        return SearchReport(None, UNSATISFIABLE, [])
+    if st is Status.UNKNOWN:
+        return report(UNKNOWN)
+    best.offer(model)
+    for j, items in enumerate(objectives):
+        enc = None
         while True:
+            c = sum(w for r, w in items if model[r])
+            bounds[j] = c
+            if c == 0:
+                for r, _ in items:
+                    solver.add_clause([-r])
+                break
+            if enc is None:
+                enc = (GeneralizedTotalizer(items, c, solver) if weighted
+                       else Totalizer([r for r, _ in items], solver))
+            enc.set_bound(c, solver)
+            # with "<= c" frozen, the negated root output for sum c is "<= c-1"
+            if weighted:
+                at_c = enc.sums[bisect_left(enc.sums, (c,))][1]
+            else:
+                at_c = enc.outputs[c - 1]
             if budget.exhausted():
                 return report(best.interrupted_status())
-            st, assignment = budget.solve(solver)
+            st, found = budget.solve(solver, [-at_c])
             if st is Status.UNKNOWN:
                 return report(best.interrupted_status())
             if st is Status.UNSAT:
-                if not any_model:
-                    return SearchReport(None, UNSATISFIABLE, [])
-                break  # freeze at the last feasible count
-            any_model = True
-            best.offer(assignment)
-            k = sum(1 for r in vs if assignment[r])
-            mu[ci] = k
-            if k == 0:
-                break  # a "<= -1" bound is vacuously unsatisfiable
-            if tot is None:
-                tot = Totalizer(vs, solver)
-            tot.set_bound(k - 1, solver)
-        if pos < len(order) - 1:
-            solver = _base_solver(relaxed, cfg.seed)
-            assert_frozen(solver, scheme.rep[ci])
+                break
+            model = found
+            best.offer(model)
     return report(OPTIMUM_FOR_APPROXIMATION)

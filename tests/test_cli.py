@@ -182,6 +182,16 @@ def test_encode_bad_args():
     assert run_cli("encode", "pb", "--weights", "2,x", "--bound", "1").returncode == 1
 
 
+def assert_clean_error(r):
+    assert r.returncode == 1
+    assert any(line.startswith("apxmaxsat:") for line in r.stderr.splitlines())
+    assert "Traceback" not in r.stderr
+
+
+def test_encode_card_negative_bound_exit_one():
+    assert_clean_error(run_cli("encode", "card", "--inputs", "3", "--bound", "-1"))
+
+
 # ----------------------------------------------------------------------
 # bench subcommand
 
@@ -202,6 +212,23 @@ def test_bench_subcommand(tmp_path):
     assert data["averages"]["apx-weight/m=0"]["score"] == "1.0000"
     assert run_cli("bench", str(tmp_path / "nodir")).returncode == 1
     assert run_cli("bench", str(suite), "--config", "zig:1").returncode == 1
+
+
+def test_bench_bad_sidecar_or_config_exit_one(tmp_path):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "a.wcnf").write_text(E1_TEXT)
+    side = tmp_path / "best.txt"
+    for text, line in (("a.wcnf 1\nlonely\n", 2), ("# costs\na.wcnf x\n", 2)):
+        side.write_text(text)
+        r = run_cli("bench", str(suite), "--sidecar", str(side))
+        assert_clean_error(r)
+        assert f"line {line}" in r.stderr
+    assert_clean_error(run_cli("bench", str(suite), "--sidecar",
+                               str(tmp_path / "missing.txt")))
+    assert_clean_error(run_cli("bench", str(suite), "--config", "apx-weight:2",
+                               "--config", "apx-weight:2"))
+    assert_clean_error(run_cli("bench", str(suite), "--config", "apx-subprob:0"))
 
 
 # ----------------------------------------------------------------------

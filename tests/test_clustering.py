@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 
 from apxmaxsat.clustering import (distinct_weight_count, is_bmo, partition,
                                   representative_weight)
-from apxmaxsat.wcnf import Clause, WcnfFormula, relax
+from apxmaxsat.wcnf import Clause, WcnfFormula
 
 
 def formula_with_weights(weights, num_vars=None):
@@ -104,18 +104,6 @@ def test_partition_e1_single_cluster_rep():
     _, scheme = partition(f, 1)
     assert scheme.rep == (3,)
     assert scheme.weight_m == (3, 3)
-
-
-def test_relax_cost_maps(e1):
-    relaxed = relax(e1)
-    _, scheme = partition(e1, 1)
-    # both relax vars true
-    a = {1: True, 2: True, 3: True, 4: True}
-    assert scheme.relax_cost(relaxed, a) == 5
-    assert scheme.relax_cost_m(relaxed, a) == 6
-    a[3] = False
-    assert scheme.relax_cost(relaxed, a) == 2
-    assert scheme.relax_cost_m(relaxed, a) == 3
 
 
 # ----------------------------------------------------------------------

@@ -117,6 +117,23 @@ def test_incremental_additions_respected():
     assert s.solve()[0] is Status.UNSAT
 
 
+def test_unsat_under_assumptions_is_not_permanent():
+    s = SatSolver(3)
+    s.add_clause([1, 2])
+    s.add_clause([3])
+    assert s.solve(assumptions=[-1, -2])[0] is Status.UNSAT
+    assert s.solve(assumptions=[-3])[0] is Status.UNSAT  # false at level 0
+    assert s.ok
+    st_, model = s.solve()
+    assert st_ is Status.SAT and model[3]
+    st_, model = s.solve(assumptions=[-1])
+    assert st_ is Status.SAT and not model[1] and model[2]
+    s.add_clause([])
+    assert s.solve()[0] is Status.UNSAT
+    assert s.solve(assumptions=[1])[0] is Status.UNSAT
+    assert not s.ok
+
+
 def test_determinism_per_seed():
     clauses = [[1, 2, 3], [-1, 2], [-2, -3], [1, -3], [2, 3]]
     a = solve(clauses, seed=7)
@@ -131,10 +148,15 @@ def test_determinism_per_seed():
     lambda n: st.tuples(st.just(n), st.lists(clause_strategy(n), max_size=12))))
 def test_sat_models_satisfy_every_clause(data):
     n, clauses = data
-    st_, model = solve(clauses, num_vars=n)
+    s = SatSolver(n)
+    for c in clauses:
+        s.add_clause(c)
+    st_, model = s.solve()
     if st_ is Status.SAT:
         for c in clauses:
             assert clause_sat(c, model)
+        # branching only stops once the heap has no unassigned variable left
+        assert all(s.value[v] != 0 for v in range(1, n + 1))
 
 
 def random_3cnf(rng, num_vars, num_clauses):
@@ -151,13 +173,21 @@ def test_completeness_vs_exhaustive_enumeration_1000_trials():
         n = rng.randint(4, 20)
         m = int(n * rng.uniform(3.5, 5.0))
         clauses = random_3cnf(rng, n, m)
-        st_, model = solve(clauses, num_vars=n, seed=trial)
-        expected = truth_table_sat(n, clauses)
-        assert st_ is (Status.SAT if expected else Status.UNSAT), \
-            f"trial {trial}: solver {st_} vs enumeration {expected}"
-        if st_ is Status.SAT:
-            for c in clauses:
-                assert clause_sat(c, model)
+        s = SatSolver(n, seed=trial)
+        for c in clauses:
+            s.add_clause(c)
+        pick = random.Random(trial)  # leaves the instance sequence unchanged
+        assumptions = [v if pick.random() < 0.5 else -v
+                       for v in pick.sample(range(1, n + 1), pick.randint(1, 4))]
+        for assumed in ([], assumptions):
+            st_, model = s.solve(assumptions=assumed)
+            forced = clauses + [[l] for l in assumed]
+            expected = truth_table_sat(n, forced)
+            assert st_ is (Status.SAT if expected else Status.UNSAT), \
+                f"trial {trial} assuming {assumed}: solver {st_} vs enumeration {expected}"
+            if st_ is Status.SAT:
+                for c in forced:
+                    assert clause_sat(c, model)
 
 
 # ----------------------------------------------------------------------
@@ -199,60 +229,3 @@ def test_conflict_budget_interrupts_hard_instance():
     n, clauses = pigeonhole(7, 6)
     st_, _ = solve(clauses, num_vars=n, conflict_budget=10)
     assert st_ is Status.UNKNOWN
-
-
-# ----------------------------------------------------------------------
-# external-backend adapter
-
-CHILD_SOLVER = """
-import sys
-from apxmaxsat.satcore import SatSolver, Status
-lines = sys.stdin.read().splitlines()
-n = 0
-solver = SatSolver()
-for line in lines:
-    toks = line.split()
-    if not toks or toks[0] in ("c",):
-        continue
-    if toks[0] == "p":
-        n = int(toks[2])
-        solver._ensure_var(n)
-        continue
-    solver.add_clause(int(t) for t in toks[:-1])
-st, model = solver.solve()
-if st is Status.UNSAT:
-    print("s UNSATISFIABLE")
-elif st is Status.SAT:
-    print("s SATISFIABLE")
-    lits = [str(v if model[v] else -v) for v in range(1, solver.num_vars + 1)]
-    print("v " + " ".join(lits) + " 0")
-"""
-
-
-def pipe_solver(num_vars=0):
-    import sys as _sys
-    from apxmaxsat.satcore import PipeSolver
-    return PipeSolver([_sys.executable, "-c", CHILD_SOLVER], num_vars)
-
-
-def test_pipe_solver_roundtrip():
-    s = pipe_solver(3)
-    s.add_clause([1, 2])
-    s.add_clause([-1])
-    st_, model = s.solve()
-    assert st_ is Status.SAT
-    assert model[2] and not model[1] and set(model) == {1, 2, 3}
-    s.add_clause([-2])
-    assert s.solve()[0] is Status.UNSAT
-
-
-def test_pipe_solver_timeout_and_failure_are_unknown():
-    import sys as _sys
-    from apxmaxsat.satcore import PipeSolver
-    sleeper = PipeSolver([_sys.executable, "-c", "import time; time.sleep(60)"])
-    sleeper.add_clause([1])
-    assert sleeper.solve(time_budget=0.2)[0] is Status.UNKNOWN
-    broken = PipeSolver(["/nonexistent-solver-binary"])
-    broken.add_clause([1])
-    assert broken.solve()[0] is Status.UNKNOWN
-    assert pipe_solver().solve(time_budget=0)[0] is Status.UNKNOWN

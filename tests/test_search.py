@@ -87,6 +87,29 @@ def test_apx_subprob_single_cluster_counts_clauses(e1):
     assert unsat == 1
 
 
+def test_apx_subprob_keeps_one_solver_across_clusters(monkeypatch):
+    # weights 100 > 10+10+1+1+1 and 10 > 1+1+1: multilevel-dominant, 3 clusters
+    f = wcnf.parse_wcnf(
+        "p wcnf 4 10 1000\n1000 1 2 0\n1000 2 3 0\n1000 3 4 0\n"
+        "100 -1 0\n10 -2 0\n10 -3 0\n1 -4 0\n1 2 0\n1 -2 -3 0\n"
+        "100 4 0\n")
+    part, _ = clustering.partition(f, clustering.distinct_weight_count(f))
+    assert len(part.clusters) == 3 and clustering.is_bmo(f, part)
+    built = []
+    real = search.SatSolver
+
+    def counting(*args, **kw):
+        built.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(search, "SatSolver", counting)
+    report = search.solve(f, subprob_cfg("weights"))
+    assert len(built) == 1
+    assert report.status == OPTIMUM_FOR_APPROXIMATION
+    assert report.best.true_cost == harness.brute_force_optimum(f)[0]
+    assert [ci for ci, _ in report.cluster_mu] == [2, 1, 0]
+
+
 def test_apx_subprob_rejects_zero_clusters(e1):
     with pytest.raises(ValueError):
         search.solve(e1, subprob_cfg(0))
