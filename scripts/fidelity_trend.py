@@ -37,23 +37,24 @@ def main():
     def grid(text):
         return [m if m == "weights" else int(m) for m in text.split(",") if m]
 
-    rng = random.Random(args.seed)
-    directory = Path(args.keep) if args.keep else Path(tempfile.mkdtemp())
-    directory.mkdir(parents=True, exist_ok=True)
-    for i in range(args.instances):
-        f = harness.fidelity_family(rng)
-        (directory / f"fid_{i:03d}.wcnf").write_text(wcnf.serialize_wcnf(f))
+    with tempfile.TemporaryDirectory() as tmp:  # removed on exit; --keep is not
+        directory = Path(args.keep or tmp)
+        rng = random.Random(args.seed)
+        directory.mkdir(parents=True, exist_ok=True)
+        for i in range(args.instances):
+            f = harness.fidelity_family(rng)
+            (directory / f"fid_{i:03d}.wcnf").write_text(wcnf.serialize_wcnf(f))
 
-    configs = [SearchConfig(algorithm=APX_WEIGHT, clusters=m)
-               for m in grid(args.weight_grid)]
-    configs += [SearchConfig(algorithm=APX_SUBPROB, clusters=m)
-                for m in grid(args.subprob_grid)]
-    table = harness.run_benchmarks(directory, configs,
-                                   timeout_s=args.timeout,
-                                   max_conflicts=args.conflicts)
-    print(table.table_text(), end="")
-    if args.report:
-        harness.write_report(table, args.report)
+        configs = [SearchConfig(algorithm=APX_WEIGHT, clusters=m)
+                   for m in grid(args.weight_grid)]
+        configs += [SearchConfig(algorithm=APX_SUBPROB, clusters=m)
+                    for m in grid(args.subprob_grid)]
+        table = harness.run_benchmarks(directory, configs,
+                                       timeout_s=args.timeout,
+                                       max_conflicts=args.conflicts)
+        print(table.table_text(), end="")
+        if args.report:
+            harness.write_report(table, args.report)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import threading
 from pathlib import Path
 
 from . import harness, search, wcnf
-from .encodings import CnfBuffer, GeneralizedTotalizer, Totalizer
+from .encodings import CnfBuffer, GeneralizedTotalizer
 
 EXIT_OPTIMUM = 30
 EXIT_SAT = 10
@@ -118,6 +118,9 @@ def _print_v_line(model: wcnf.Model, num_vars: int) -> None:
 
 
 def _cmd_solve(args) -> int:
+    if args.algorithm == search.APX_SUBPROB and args.clusters == 0:
+        print("apxmaxsat: apx-subprob needs at least one cluster", file=sys.stderr)
+        return EXIT_ERROR
     f = _load_instance(args.instance)
     if f is None:
         return EXIT_ERROR
@@ -186,22 +189,23 @@ def _cmd_bench(args) -> int:
         return EXIT_ERROR
     print(table.table_text(), end="")
     if args.report:
-        harness.write_report(table, args.report)
+        try:
+            harness.write_report(table, args.report)
+        except OSError as e:
+            print(f"apxmaxsat: cannot write report: {e}", file=sys.stderr)
+            return EXIT_ERROR
     return 0
 
 
 def _cmd_encode(args) -> int:
+    bound = args.bound
     if args.kind == "card":
         if args.inputs is None or args.inputs < 1:
             print("apxmaxsat: card needs --inputs N (N >= 1)", file=sys.stderr)
             return EXIT_ERROR
-        buf = CnfBuffer(args.inputs)
-        tot = Totalizer(range(1, args.inputs + 1), buf)
-        try:
-            tot.set_bound(args.bound, buf)
-        except ValueError as e:
-            print(f"apxmaxsat: {e}", file=sys.stderr)
-            return EXIT_ERROR
+        weights = [1] * args.inputs
+        cap = args.inputs
+        bound = min(bound, cap)  # at most N of N inputs holds anyway
     else:
         if not args.weights:
             print("apxmaxsat: pb needs --weights w1,w2,...", file=sys.stderr)
@@ -211,15 +215,15 @@ def _cmd_encode(args) -> int:
         except ValueError:
             print("apxmaxsat: bad --weights", file=sys.stderr)
             return EXIT_ERROR
-        buf = CnfBuffer(len(weights))
         cap = args.max_bound if args.max_bound is not None else sum(weights)
-        try:
-            gte = GeneralizedTotalizer(
-                list(zip(range(1, len(weights) + 1), weights)), cap, buf)
-            gte.set_bound(args.bound, buf)
-        except ValueError as e:
-            print(f"apxmaxsat: {e}", file=sys.stderr)
-            return EXIT_ERROR
+    buf = CnfBuffer(len(weights))
+    try:
+        gte = GeneralizedTotalizer(
+            list(zip(range(1, len(weights) + 1), weights)), cap, buf)
+        gte.set_bound(bound, buf)
+    except ValueError as e:
+        print(f"apxmaxsat: {e}", file=sys.stderr)
+        return EXIT_ERROR
     print(buf.to_dimacs(), end="")
     return 0
 

@@ -1,20 +1,21 @@
 """CNF encodings of the bounding constraints.
 
-Totalizer: a balanced binary merge tree producing a unary counter o_1..o_n
-over n input literals; in every model o_j is implied true whenever at least
-j inputs are true, so asserting the negation of o_{k+1}..o_n enforces
-"at most k inputs true".
-
-GeneralizedTotalizer: the weighted analogue for pseudo-Boolean bounds. Each
-node carries one output literal per distinct reachable weighted sum, so the
-encoding size is driven by the number of distinct sums rather than weight
-magnitudes. Sums above max_bound collapse into a single per-node overflow
+One encoder, the Generalized Totalizer (GTE), bounds a weighted sum of
+literals. It is a balanced binary merge tree whose every node carries one
+output literal per distinct reachable weighted sum, so the encoding size is
+driven by the number of distinct sums rather than weight magnitudes. In
+every model an output is implied true whenever the inputs below it reach
+its sum. Sums above max_bound collapse into a single per-node overflow
 output, capping node size. Asserting the negations of root outputs above B
 (plus the overflow) enforces "weighted sum <= B".
 
-Both encodings support incremental tightening only: bounds may decrease but
-never relax, matching a linear search that only ever shrinks its target.
-An encoding is tied to the solver (or clause sink) it was built into.
+Totalizer is the GTE's unit-weight case capped at the input count: one
+root output o_j per count j, the unary cardinality counter, so asserting
+the negation of o_{k+1}..o_n enforces "at most k inputs true".
+
+Bounds support incremental tightening only: they may decrease but never
+relax, matching a linear search that only ever shrinks its target. An
+encoding is tied to the solver (or clause sink) it was built into.
 """
 
 from __future__ import annotations
@@ -43,51 +44,6 @@ class CnfBuffer:
         return "\n".join(lines) + "\n"
 
 
-class Totalizer:
-    """Unary cardinality counter over distinct input literals."""
-
-    def __init__(self, inputs, sink):
-        lits = [int(l) for l in inputs]
-        if not lits:
-            raise ValueError("totalizer needs at least one input")
-        if len(set(lits)) != len(lits):
-            raise ValueError("totalizer inputs must be distinct")
-        self.inputs = tuple(lits)
-        self.bound: int | None = None  # None: nothing enforced yet
-        self.outputs = self._build(lits, sink)
-
-    def _build(self, lits, sink):
-        if len(lits) == 1:
-            return [lits[0]]
-        half = len(lits) // 2
-        left = self._build(lits[:half], sink)
-        right = self._build(lits[half:], sink)
-        out = [sink.new_var() for _ in range(len(left) + len(right))]
-        for i in range(len(left) + 1):
-            for j in range(len(right) + 1):
-                if i + j == 0:
-                    continue
-                clause = []
-                if i:
-                    clause.append(-left[i - 1])
-                if j:
-                    clause.append(-right[j - 1])
-                clause.append(out[i + j - 1])
-                sink.add_clause(clause)
-        return out
-
-    def set_bound(self, k: int, sink) -> None:
-        """Enforce "at most k inputs true". Tightening only."""
-        if k < 0:
-            raise ValueError("bound must be >= 0")
-        if self.bound is not None and k >= self.bound:
-            raise ValueError(f"bound can only tighten: {k} >= {self.bound}")
-        upper = self.bound if self.bound is not None else len(self.outputs)
-        for j in range(k + 1, upper + 1):
-            sink.add_clause([-self.outputs[j - 1]])
-        self.bound = k
-
-
 class GeneralizedTotalizer:
     """Weighted unary counter over (literal, positive weight) inputs.
 
@@ -99,12 +55,11 @@ class GeneralizedTotalizer:
     def __init__(self, items, max_bound: int, sink):
         pairs = [(int(l), int(w)) for l, w in items]
         if not pairs:
-            raise ValueError("weighted totalizer needs at least one input")
+            raise ValueError("totalizer needs at least one input")
         if any(w < 1 for _, w in pairs):
             raise ValueError("weights must be >= 1")
         if max_bound < 0:
             raise ValueError("max_bound must be >= 0")
-        self.items = tuple(pairs)
         self.max_bound = max_bound
         self.bound: int | None = None
         self.sums, self.overflow = self._build(pairs, sink)
@@ -159,3 +114,16 @@ class GeneralizedTotalizer:
             if b < s <= upper:
                 sink.add_clause([-lit])
         self.bound = b
+
+
+class Totalizer(GeneralizedTotalizer):
+    """Unary cardinality counter over distinct input literals: the
+    unit-weight GeneralizedTotalizer capped at the input count, with
+    self.outputs[j-1] the root output for "at least j inputs true"."""
+
+    def __init__(self, inputs, sink):
+        lits = [int(l) for l in inputs]
+        if len(set(lits)) != len(lits):
+            raise ValueError("totalizer inputs must be distinct")
+        super().__init__([(l, 1) for l in lits], len(lits), sink)
+        self.outputs = [lit for _, lit in self.sums]

@@ -150,10 +150,6 @@ class SatSolver:
     # ------------------------------------------------------------------
     # trail
 
-    @property
-    def decision_level(self) -> int:
-        return len(self.trail_lim)
-
     def _enqueue(self, lit: int, reason: _Clause | None) -> None:
         v = abs(lit)
         self.value[v] = 1 if lit > 0 else -1

@@ -5,14 +5,19 @@ with one incremental solver for the whole run. The search walks a list of
 objectives, each a weighted sum of relaxation variables:
 
 * apx-weight has one objective, the relaxation variables under the
-  clustered weight map, bounded with a Generalized Totalizer. With m=0 the
-  weight map is exact and the final model is a true optimum.
+  clustered weight map. With m=0 the weight map is exact and the final
+  model is a true optimum.
 
 * apx-subprob has one unit-weight objective per cluster, heaviest
-  representative weight first, each bounded with a Totalizer: the count of
-  true relaxation variables is minimized cluster by cluster. Exact when
-  the weight structure is multilevel-dominant (see clustering.is_bmo) and
-  m equals the number of distinct weights.
+  representative weight first: the count of true relaxation variables is
+  minimized cluster by cluster. Exact when the weight structure is
+  multilevel-dominant (see clustering.is_bmo) and m equals the number of
+  distinct weights.
+
+Every objective is bounded with one Generalized Totalizer, built when its
+first model is found and capped at that model's value c, the first bound
+asserted. For apx-subprob's unit weights this is the Totalizer counter
+capped at the cluster's first count.
 
 On a model whose objective value is c, "<= c" is frozen as hard clauses
 and the solver is called again assuming "<= c-1". A model found that way
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import clustering, wcnf
-from .encodings import GeneralizedTotalizer, Totalizer
+from .encodings import GeneralizedTotalizer
 from .satcore import SatSolver, Status
 
 APX_WEIGHT = "apx-weight"
@@ -221,14 +226,10 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                     solver.add_clause([-r])
                 break
             if enc is None:
-                enc = (GeneralizedTotalizer(items, c, solver) if weighted
-                       else Totalizer([r for r, _ in items], solver))
+                enc = GeneralizedTotalizer(items, c, solver)
             enc.set_bound(c, solver)
             # with "<= c" frozen, the negated root output for sum c is "<= c-1"
-            if weighted:
-                at_c = enc.sums[bisect_left(enc.sums, (c,))][1]
-            else:
-                at_c = enc.outputs[c - 1]
+            at_c = enc.sums[bisect_left(enc.sums, (c,))][1]
             if budget.exhausted():
                 return report(best.interrupted_status())
             st, found = budget.solve(solver, [-at_c])

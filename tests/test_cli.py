@@ -112,6 +112,8 @@ def test_bad_flags_exit_one(e1_path):
     assert run_cli("solve", e1_path, "--algorithm", "nope").returncode == 1
     assert run_cli("solve", e1_path, "--clusters", "-2").returncode == 1
     assert run_cli("frobnicate").returncode == 1
+    assert_clean_error(run_cli("solve", e1_path, "--algorithm", "apx-subprob",
+                               "--clusters", "0"))
 
 
 def test_unreadable_file_exit_one(tmp_path):
@@ -150,16 +152,18 @@ def parse_dimacs(text):
 
 
 def test_encode_card_dump_semantics():
-    r = run_cli("encode", "card", "--inputs", "3", "--bound", "1")
-    assert r.returncode == 0
-    nv, clauses = parse_dimacs(r.stdout)
-    sat_count = 0
-    for bits in range(1 << nv):
-        a = {v: bool(bits >> (v - 1) & 1) for v in range(1, nv + 1)}
-        if all(clause_sat(c, a) for c in clauses):
-            sat_count += 1
-            assert sum(a[v] for v in (1, 2, 3)) <= 1
-    assert sat_count >= 4  # each <=1-true input pattern is extendable
+    # a bound at or above --inputs constrains nothing: all 8 patterns extend
+    for bound, patterns in ((1, 4), (5, 8)):
+        r = run_cli("encode", "card", "--inputs", "3", "--bound", str(bound))
+        assert r.returncode == 0
+        nv, clauses = parse_dimacs(r.stdout)
+        projections = set()
+        for bits in range(1 << nv):
+            a = {v: bool(bits >> (v - 1) & 1) for v in range(1, nv + 1)}
+            if all(clause_sat(c, a) for c in clauses):
+                projections.add((a[1], a[2], a[3]))
+                assert sum(a[v] for v in (1, 2, 3)) <= bound
+        assert len(projections) == patterns  # each allowed input pattern extends
 
 
 def test_encode_pb_dump_semantics():
@@ -229,6 +233,16 @@ def test_bench_bad_sidecar_or_config_exit_one(tmp_path):
     assert_clean_error(run_cli("bench", str(suite), "--config", "apx-weight:2",
                                "--config", "apx-weight:2"))
     assert_clean_error(run_cli("bench", str(suite), "--config", "apx-subprob:0"))
+
+
+def test_bench_report_into_missing_directory_exit_one(tmp_path):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "a.wcnf").write_text(E1_TEXT)
+    r = run_cli("bench", str(suite), "--config", "apx-weight:0",
+                "--report", str(tmp_path / "missing" / "r.json"))
+    assert_clean_error(r)
+    assert "avg-score" in r.stdout  # the table printed before the failed write
 
 
 # ----------------------------------------------------------------------

@@ -88,6 +88,8 @@ def test_totalizer_contract_errors():
         tot.set_bound(1, buf)
     with pytest.raises(ValueError):
         tot.set_bound(-1, buf)
+    with pytest.raises(ValueError):  # above the input count, as above a GTE's cap
+        Totalizer([1, 2], buf).set_bound(3, buf)
 
 
 # ----------------------------------------------------------------------

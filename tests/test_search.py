@@ -110,6 +110,49 @@ def test_apx_subprob_keeps_one_solver_across_clusters(monkeypatch):
     assert [ci for ci, _ in report.cluster_mu] == [2, 1, 0]
 
 
+def test_apx_subprob_counter_is_unit_gte_capped_at_first_count(monkeypatch):
+    # weights 100 > 10+10+10+1+1+1+1 and 10 > 1+1+1+1: multilevel-dominant,
+    # 3 clusters; each x/-x soft pair is violated once by every model, so
+    # every cluster's first count is at least 1
+    f = wcnf.parse_wcnf(
+        "p wcnf 5 10 1000\n1000 1 2 3 0\n100 1 0\n100 -1 0\n"
+        "10 2 0\n10 -2 0\n10 5 0\n1 3 0\n1 -3 0\n1 4 0\n1 -4 0\n")
+    part, _ = clustering.partition(f, clustering.distinct_weight_count(f))
+    assert len(part.clusters) == 3 and clustering.is_bmo(f, part)
+    relax_of = wcnf.relax(f).relax_of
+    cluster_of = {frozenset(relax_of[i] for i in members): ci
+                  for ci, members in enumerate(part.clusters)}
+    models = []
+    built = []
+
+    class Recording(search.SatSolver):
+        def solve(self, *args, **kw):
+            st, model = super().solve(*args, **kw)
+            if st is Status.SAT:
+                models.append(model)
+            return st, model
+
+    real = search.GeneralizedTotalizer
+
+    def spy(items, max_bound, sink):
+        items = list(items)
+        first_count = sum(models[-1][r] for r, _ in items)
+        built.append((cluster_of[frozenset(r for r, _ in items)],
+                      [w for _, w in items], max_bound, first_count))
+        return real(items, max_bound, sink)
+
+    monkeypatch.setattr(search, "SatSolver", Recording)
+    monkeypatch.setattr(search, "GeneralizedTotalizer", spy)
+    report = search.solve(f, subprob_cfg("weights"))
+    assert report.status == OPTIMUM_FOR_APPROXIMATION
+    assert report.best.true_cost == harness.brute_force_optimum(f)[0]
+    frozen = dict(report.cluster_mu)
+    assert [ci for ci, *_ in built] == [ci for ci, _ in report.cluster_mu]
+    for ci, weights, max_bound, first_count in built:
+        assert weights == [1] * len(part.clusters[ci])
+        assert max_bound == first_count >= frozen[ci] >= 1
+
+
 def test_apx_subprob_rejects_zero_clusters(e1):
     with pytest.raises(ValueError):
         search.solve(e1, subprob_cfg(0))
