@@ -49,6 +49,17 @@ def _clusters_value(text: str):
     return m
 
 
+def _seconds_value(text: str) -> float:
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of seconds, got {text!r}") from None
+    if not seconds >= 0:  # also rejects nan, which no deadline ever reaches
+        raise argparse.ArgumentTypeError(f"timeout must be >= 0, got {text!r}")
+    return seconds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="apxmaxsat",
                      description="Anytime weighted partial MaxSAT solver")
@@ -62,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--clusters", type=_clusters_value,
                          default=search.CLUSTERS_WEIGHTS,
                          help="cluster count m, or 'weights' for m=#distinct weights")
-    p_solve.add_argument("--timeout", type=float, default=300.0,
+    p_solve.add_argument("--timeout", type=_seconds_value, default=300.0,
                          help="wall-clock budget in seconds (default 300)")
     p_solve.add_argument("--conflicts", type=int, default=None,
                          help="deterministic conflict budget")
@@ -74,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", action="append", default=[],
                          metavar="ALGORITHM:CLUSTERS",
                          help="repeatable, e.g. apx-subprob:weights or apx-weight:2")
-    p_bench.add_argument("--timeout", type=float, default=None)
+    p_bench.add_argument("--timeout", type=_seconds_value, default=None)
     p_bench.add_argument("--conflicts", type=int, default=None)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--workers", type=int, default=1)
@@ -100,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_instance(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_bytes()
     except OSError as e:
         print(f"apxmaxsat: cannot read {path}: {e}", file=sys.stderr)
         return None

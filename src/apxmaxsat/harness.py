@@ -284,7 +284,7 @@ def _run_task(args):
 
     started = _time.monotonic()
     try:
-        f = wcnf.parse_wcnf(Path(path).read_text())
+        f = wcnf.parse_wcnf(Path(path).read_bytes())
     except (OSError, wcnf.WcnfParseError) as e:
         return path, config_label(cfg), RunRecord(None, f"parse_error: {e}", 0.0, [])
     run_cfg = search.SearchConfig(
@@ -318,14 +318,15 @@ def load_best_known(path) -> dict[str, int]:
 
 def run_benchmarks(directory, configs, timeout_s: float | None = None,
                    max_conflicts: int | None = None, workers: int = 1,
-                   sidecar=None, pattern: str = "*.wcnf") -> ScoreTable:
-    """Run every configuration on every instance under a shared budget.
+                   sidecar=None) -> ScoreTable:
+    """Run every configuration on every `*.wcnf` file in directory under a
+    shared budget.
 
     Unreadable or malformed instances are recorded as parse failures and
     score 0 for every configuration; the run continues. The sidecar, when
     given, merges externally known costs into the virtual best.
     """
-    paths = sorted(str(p) for p in Path(directory).glob(pattern))
+    paths = sorted(str(p) for p in Path(directory).glob("*.wcnf"))
     labels = [config_label(c) for c in configs]
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate configuration labels")

@@ -13,10 +13,10 @@ solver stays usable, so a bound tried as an assumption is retracted simply
 by not assuming it again. Learned clauses never depend on assumptions and
 are kept across calls.
 
-Solving is budgeted: a wall-clock budget, a conflict budget, and a
-cooperative stop callback are each polled at least once per conflict, and
-exhaustion yields UNKNOWN. A fixed seed makes runs reproducible; the seed
-only feeds occasional random branching decisions.
+A solve call may take a Budget, which it charges with its conflicts and
+polls on entry, after every conflict and every 1024 decisions; exhaustion
+yields UNKNOWN. A fixed seed makes runs reproducible; the seed only feeds
+occasional random branching decisions.
 
 A solver instance is single-threaded; run independent instances for
 parallelism.
@@ -37,6 +37,29 @@ class Status(Enum):
     SAT = "SAT"
     UNSAT = "UNSAT"
     UNKNOWN = "UNKNOWN"
+
+
+class Budget:
+    """Wall-clock deadline (time.monotonic()), conflicts left and a
+    cooperative stop callable, each None when unlimited. Every solve call
+    it is passed to counts its conflicts against it, so one Budget bounds a
+    whole sequence of calls."""
+
+    def __init__(self, timeout_s: float | None = None,
+                 max_conflicts: int | None = None, stop=None):
+        self.deadline = (time.monotonic() + timeout_s
+                         if timeout_s is not None else None)
+        self.conflicts_left = max_conflicts
+        self.stop = stop
+
+    def exhausted(self) -> bool:
+        if self.stop is not None and self.stop():
+            return True
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            return True
+        if self.conflicts_left is not None and self.conflicts_left <= 0:
+            return True
+        return False
 
 
 class _Clause:
@@ -101,11 +124,6 @@ class SatSolver:
     def _ensure_var(self, v: int) -> None:
         while self.num_vars < v:
             self.new_var()
-
-    @property
-    def conflicts(self) -> int:
-        """Lifetime conflict count, for external budget accounting."""
-        return self.stats["conflicts"]
 
     def add_clause(self, lits) -> None:
         """Add a clause; no-op once the solver is in the UNSAT state."""
@@ -348,46 +366,42 @@ class SatSolver:
     # ------------------------------------------------------------------
     # search
 
-    def solve(self, time_budget: float | None = None,
-              conflict_budget: int | None = None,
-              stop=None, assumptions=()) -> tuple[Status, dict[int, bool] | None]:
-        """Run CDCL until SAT, UNSAT, or a budget fires.
+    def solve(self, assumptions=(), budget: Budget | None = None
+              ) -> tuple[Status, dict[int, bool] | None]:
+        """Run CDCL until SAT, UNSAT, or the budget is exhausted.
 
         SAT comes with a total assignment over variables 1..num_vars that
         makes every assumption true. UNSAT is either a level-0 refutation,
         which is permanent, or a proof that the clauses and the assumptions
         cannot hold together, which leaves the solver usable. UNKNOWN is
-        returned only when time_budget, conflict_budget, or stop() fired.
-        Budgets are polled once per conflict (and periodically between
-        decisions).
+        returned only when budget.exhausted() holds: on entry, after a
+        conflict (each one is charged to budget.conflicts_left), or at
+        every 1024th decision. Without a budget the call runs to an answer.
         """
         assumptions = [int(l) for l in assumptions]
         for l in assumptions:
             if l == 0:
                 raise ValueError("0 is not a literal")
             self._ensure_var(abs(l))
-        if time_budget is not None and time_budget <= 0:
-            return Status.UNKNOWN, None
-        if conflict_budget is not None and conflict_budget <= 0:
+        budget = budget or Budget()
+        if budget.exhausted():
             return Status.UNKNOWN, None
         if not self.ok:
             return Status.UNSAT, None
-        deadline = time.monotonic() + time_budget if time_budget is not None else None
         self._backtrack(0)
         if self._propagate() is not None:
             self.ok = False
             return Status.UNSAT, None
         if self._max_learnts is None:
             self._max_learnts = max(4000.0, 2.0 * len(self.clauses))
-        nconf = 0
         since_restart = 0
         restart_lim = 100.0
-        decisions = 0
         while True:
             confl = self._propagate()
             if confl is not None:
                 self.stats["conflicts"] += 1
-                nconf += 1
+                if budget.conflicts_left is not None:
+                    budget.conflicts_left -= 1
                 since_restart += 1
                 if not self.trail_lim:
                     self.ok = False
@@ -397,11 +411,7 @@ class SatSolver:
                 self._record(learnt)
                 self.var_inc *= self.var_decay_inv
                 self.cla_inc *= self.cla_decay_inv
-                if stop is not None and stop():
-                    return Status.UNKNOWN, None
-                if deadline is not None and time.monotonic() >= deadline:
-                    return Status.UNKNOWN, None
-                if conflict_budget is not None and nconf >= conflict_budget:
+                if budget.exhausted():
                     return Status.UNKNOWN, None
                 if since_restart >= restart_lim:
                     self.stats["restarts"] += 1
@@ -427,13 +437,9 @@ class SatSolver:
                         model = {u: self.value[u] == 1
                                  for u in range(1, self.num_vars + 1)}
                         return Status.SAT, model
-                    decisions += 1
                     self.stats["decisions"] += 1
-                    if decisions & 1023 == 0:
-                        if stop is not None and stop():
-                            return Status.UNKNOWN, None
-                        if deadline is not None and time.monotonic() >= deadline:
-                            return Status.UNKNOWN, None
+                    if self.stats["decisions"] & 1023 == 0 and budget.exhausted():
+                        return Status.UNKNOWN, None
                     lit = v if self.phase[v] else -v
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, None)

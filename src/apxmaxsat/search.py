@@ -26,10 +26,13 @@ given every earlier objective's frozen bound, and the search moves on to
 the next objective, starting from the last model. Nothing is rebuilt
 between objectives, so learned clauses carry over.
 
-The best model seen by true cost is recorded, every strict improvement is
-reported through a callback before the next solver call, and the search
-stops early on a wall-clock deadline, a conflict budget, or a cooperative
-stop flag.
+The best model seen by true cost is recorded, and every strict improvement
+is reported through a callback before the next solver call. One
+satcore.Budget, built from the configured wall-clock limit, conflict limit
+and stop flag, is passed to every solver call, so its conflicts are counted
+across calls; the first call that finds it exhausted returns UNKNOWN and
+ends the search with the best model so far. It is also checked once before
+the solver is loaded, so a budget already spent does not pay for loading.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Callable
 
 from . import clustering, wcnf
 from .encodings import GeneralizedTotalizer
-from .satcore import SatSolver, Status
+from .satcore import Budget, SatSolver, Status
 
 APX_WEIGHT = "apx-weight"
 APX_SUBPROB = "apx-subprob"
@@ -87,38 +90,6 @@ class SearchReport:
     cluster_mu: list[tuple[int, int | None]] | None = None
 
 
-class _Budget:
-    """Shared wall-clock/conflict budget across the solver calls of one
-    search, plus the cooperative stop flag."""
-
-    def __init__(self, cfg: SearchConfig):
-        self.deadline = (time.monotonic() + cfg.timeout_s
-                         if cfg.timeout_s is not None else None)
-        self.conflicts_left = cfg.max_conflicts
-        self.stop = cfg.stop
-
-    def exhausted(self) -> bool:
-        if self.stop is not None and self.stop():
-            return True
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            return True
-        if self.conflicts_left is not None and self.conflicts_left <= 0:
-            return True
-        return False
-
-    def solve(self, solver: SatSolver, assumptions=()):
-        time_budget = None
-        if self.deadline is not None:
-            time_budget = self.deadline - time.monotonic()
-        before = solver.conflicts
-        st, model = solver.solve(time_budget=time_budget,
-                                 conflict_budget=self.conflicts_left,
-                                 stop=self.stop, assumptions=assumptions)
-        if self.conflicts_left is not None:
-            self.conflicts_left -= solver.conflicts - before
-        return st, model
-
-
 def resolve_clusters(f: wcnf.WcnfFormula, clusters: int | str) -> int:
     """Map a cluster-count setting to a concrete m."""
     if clusters == CLUSTERS_WEIGHTS:
@@ -135,7 +106,7 @@ def check_hard(f: wcnf.WcnfFormula, timeout_s: float | None = None,
     solver = SatSolver(f.num_vars, seed=seed)
     for c in f.hard:
         solver.add_clause(c.lits)
-    return solver.solve(time_budget=timeout_s, conflict_budget=max_conflicts)
+    return solver.solve(budget=Budget(timeout_s, max_conflicts))
 
 
 class _Best:
@@ -195,7 +166,7 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                       for ci in order]
     bounds: list[int | None] = [None] * len(objectives)
     best = _Best(f, scheme, on_improve, started)
-    budget = _Budget(cfg)
+    budget = Budget(cfg.timeout_s, cfg.max_conflicts, cfg.stop)
 
     def report(status: str) -> SearchReport:
         if weighted:
@@ -210,7 +181,7 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
         solver.add_clause(clause.lits)
     for lits in relaxed.relaxed_soft():
         solver.add_clause(lits)
-    st, model = budget.solve(solver)
+    st, model = solver.solve(budget=budget)
     if st is Status.UNSAT:
         return SearchReport(None, UNSATISFIABLE, [])
     if st is Status.UNKNOWN:
@@ -230,9 +201,7 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
             enc.set_bound(c, solver)
             # with "<= c" frozen, the negated root output for sum c is "<= c-1"
             at_c = enc.sums[bisect_left(enc.sums, (c,))][1]
-            if budget.exhausted():
-                return report(best.interrupted_status())
-            st, found = budget.solve(solver, [-at_c])
+            st, found = solver.solve([-at_c], budget)
             if st is Status.UNKNOWN:
                 return report(best.interrupted_status())
             if st is Status.UNSAT:

@@ -128,13 +128,18 @@ class Model:
 def parse_wcnf(text) -> WcnfFormula:
     """Parse old-style WDIMACS from a str or bytes buffer.
 
-    Raises WcnfParseError on a malformed header, non-positive weight, weight
-    above top, a 0 inside a clause body, a missing terminating 0, or any
-    non-integer token. A clause count differing from the header is recorded
-    as a warning, and variables beyond the header count grow num_vars.
+    Raises WcnfParseError on bytes that are not UTF-8, a malformed header,
+    non-positive weight, weight above top, a 0 inside a clause body, a
+    missing terminating 0, or any non-integer token. A clause count
+    differing from the header is recorded as a warning, and variables beyond
+    the header count grow num_vars.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode()
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as e:
+            raise WcnfParseError(text.count(b"\n", 0, e.start) + 1,
+                                 f"byte 0x{text[e.start]:02x} is not UTF-8") from None
     header: tuple[int, int, int] | None = None
     hard: list[Clause] = []
     soft: list[tuple[Clause, int]] = []

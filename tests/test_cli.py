@@ -112,6 +112,11 @@ def test_bad_flags_exit_one(e1_path):
     assert run_cli("solve", e1_path, "--algorithm", "nope").returncode == 1
     assert run_cli("solve", e1_path, "--clusters", "-2").returncode == 1
     assert run_cli("frobnicate").returncode == 1
+    for timeout in ("nan", "-1"):
+        for cmd in (["solve", e1_path], ["bench", os.path.dirname(e1_path)]):
+            r = run_cli(*cmd, "--timeout", timeout)
+            assert r.returncode == 1 and "Traceback" not in r.stderr
+            assert "error: argument --timeout" in r.stderr
     assert_clean_error(run_cli("solve", e1_path, "--algorithm", "apx-subprob",
                                "--clusters", "0"))
 
@@ -128,6 +133,15 @@ def test_malformed_instance_exit_one(tmp_path):
     r = run_cli("solve", str(p))
     assert r.returncode == 1
     assert "line 2" in r.stderr
+
+
+def test_instance_not_utf8_exit_one(tmp_path):
+    p = tmp_path / "bad.wcnf"
+    p.write_bytes(b"p wcnf 1 1 5\n5 1 0 \xff\n")
+    for cmd in ("solve", "oracle"):
+        r = run_cli(cmd, str(p))
+        assert_clean_error(r)
+        assert "line 2" in r.stderr
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +247,22 @@ def test_bench_bad_sidecar_or_config_exit_one(tmp_path):
     assert_clean_error(run_cli("bench", str(suite), "--config", "apx-weight:2",
                                "--config", "apx-weight:2"))
     assert_clean_error(run_cli("bench", str(suite), "--config", "apx-subprob:0"))
+
+
+def test_bench_records_instance_not_utf8_as_parse_error(tmp_path):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "a.wcnf").write_bytes(b"p wcnf 1 1 5\n5 1 0 \xff\n")
+    (suite / "b.wcnf").write_text(E1_TEXT)
+    report = tmp_path / "report.json"
+    r = run_cli("bench", str(suite), "--config", "apx-weight:0",
+                "--report", str(report))
+    assert r.returncode == 0
+    assert "avg-score" in r.stdout and "Traceback" not in r.stderr
+    results = {os.path.basename(path): rec["results"]["apx-weight/m=0"]
+               for path, rec in json.loads(report.read_text())["instances"].items()}
+    assert results["a.wcnf"]["status"].startswith("parse_error: line 2")
+    assert results["b.wcnf"]["status"] == "optimum_for_approximation"
 
 
 def test_bench_report_into_missing_directory_exit_one(tmp_path):

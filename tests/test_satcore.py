@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from apxmaxsat.satcore import SatSolver, Status
+from apxmaxsat.satcore import Budget, SatSolver, Status
 
 from conftest import clause_sat, clause_strategy, truth_table_sat
 
@@ -66,12 +66,12 @@ def test_forced_model():
 
 
 def test_zero_time_budget_is_unknown():
-    st_, model = solve([[1, 2]], time_budget=0)
+    st_, model = solve([[1, 2]], budget=Budget(timeout_s=0))
     assert st_ is Status.UNKNOWN and model is None
 
 
 def test_zero_conflict_budget_is_unknown():
-    assert solve([[1, 2]], conflict_budget=0)[0] is Status.UNKNOWN
+    assert solve([[1, 2]], budget=Budget(max_conflicts=0))[0] is Status.UNKNOWN
 
 
 def test_stop_flag_yields_unknown_and_budgeted_unsat_still_proves():
@@ -79,8 +79,18 @@ def test_stop_flag_yields_unknown_and_budgeted_unsat_still_proves():
     s = SatSolver(0)
     for c in [[1, 2], [-1, 2], [1, -2], [-1, -2], [3, 4]]:
         s.add_clause(c)
-    st_, _ = s.solve(stop=lambda: True)
+    st_, _ = s.solve(budget=Budget(stop=lambda: True))
     assert st_ in (Status.UNKNOWN, Status.UNSAT)
+
+
+def test_stop_flag_already_set_is_unknown_on_entry():
+    # satisfiable without a single conflict: only the entry check can stop it
+    s = SatSolver(0)
+    s.add_clause([1, 2])
+    st_, model = s.solve(budget=Budget(stop=lambda: True))
+    assert st_ is Status.UNKNOWN and model is None
+    assert s.stats["decisions"] == 0
+    assert s.solve()[0] is Status.SAT
 
 
 def test_tautology_and_duplicate_literals():
@@ -227,5 +237,17 @@ def test_pigeonhole_sat_when_holes_suffice():
 
 def test_conflict_budget_interrupts_hard_instance():
     n, clauses = pigeonhole(7, 6)
-    st_, _ = solve(clauses, num_vars=n, conflict_budget=10)
+    st_, _ = solve(clauses, num_vars=n, budget=Budget(max_conflicts=10))
     assert st_ is Status.UNKNOWN
+
+
+def test_conflict_budget_is_shared_across_calls():
+    n, clauses = pigeonhole(7, 6)
+    s = SatSolver(n)
+    for c in clauses:
+        s.add_clause(c)
+    budget = Budget(max_conflicts=10)
+    assert s.solve(budget=budget)[0] is Status.UNKNOWN
+    assert s.stats["conflicts"] == 10 and budget.conflicts_left == 0
+    assert s.solve(budget=budget)[0] is Status.UNKNOWN
+    assert s.stats["conflicts"] == 10

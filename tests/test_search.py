@@ -184,6 +184,39 @@ def test_conflict_budget_interrupts(e1):
     assert report.status == UNKNOWN and report.best is None
 
 
+def test_conflict_budget_is_shared_by_every_solver_call(monkeypatch):
+    # hard random 3-CNF with soft units of weights 1/10/100: 3 clusters, and
+    # the conflicts of one search spread over several solver calls
+    rng = seeded_rng(1)
+    n = 40
+    hard = []
+    for _ in range(3 * n):
+        vs = rng.sample(range(1, n + 1), 3)
+        hard.append(wcnf.Clause.of([v if rng.random() < 0.5 else -v for v in vs]))
+    soft = [(wcnf.Clause.of([v if rng.random() < 0.5 else -v]),
+             rng.choice((1, 10, 100))) for v in range(1, n + 1)]
+    f = wcnf.WcnfFormula(n, hard, soft)
+    assert len(clustering.partition(f, 3)[0].clusters) == 3
+    calls = []
+
+    class Spy(search.SatSolver):
+        def solve(self, assumptions=(), budget=None):
+            before = self.stats["conflicts"]
+            result = super().solve(assumptions, budget)
+            calls.append((self.stats["conflicts"] - before, budget))
+            return result
+
+    monkeypatch.setattr(search, "SatSolver", Spy)
+    k = 30
+    report = search.solve(f, subprob_cfg(3, max_conflicts=k))
+    assert report.status == SATISFIABLE
+    budget = calls[0][1]
+    assert budget is not None and all(b is budget for _, b in calls)
+    spent = [c for c, _ in calls]
+    assert sum(1 for c in spent if c) > 1
+    assert sum(spent) <= k and budget.conflicts_left == k - sum(spent)
+
+
 def test_stop_flag_interrupts(e1):
     report = search.solve(e1, subprob_cfg(2, stop=lambda: True))
     assert report.status == UNKNOWN and report.best is None

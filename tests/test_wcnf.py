@@ -66,6 +66,16 @@ def test_parse_error_carries_line_number():
     assert ei.value.line_no == 4
 
 
+def test_parse_bytes_not_utf8_names_the_line():
+    for data, line_no in ((b"c \xc3\xa9\np wcnf 1 1 5\n5 1 0 \xff\n", 3),
+                          (b"p wcnf 1 1 5\n\xff5 1 0\n", 2),
+                          (b"\xff", 1)):
+        with pytest.raises(WcnfParseError) as ei:
+            parse_wcnf(data)
+        assert ei.value.line_no == line_no
+        assert "0xff" in str(ei.value)
+
+
 def test_parse_clause_count_mismatch_warns():
     f = parse_wcnf("p wcnf 1 3 5\n5 1 0\n")
     assert any("declares 3" in w for w in f.warnings)
