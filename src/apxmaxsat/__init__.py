@@ -11,15 +11,15 @@ from .search import (APX_SUBPROB, APX_WEIGHT, CLUSTERS_WEIGHTS,
                      OPTIMUM_FOR_APPROXIMATION, SATISFIABLE, UNKNOWN,
                      UNSATISFIABLE, SearchConfig, SearchReport, check_hard,
                      solve)
-from .wcnf import (Clause, Model, RelaxedFormula, WcnfFormula, WcnfParseError,
-                   check_model, cost, parse_wcnf, relax, serialize_wcnf)
+from .wcnf import (Clause, Model, WcnfFormula, WcnfParseError, check_model,
+                   cost, parse_wcnf, relax, serialize_wcnf)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "APX_SUBPROB", "APX_WEIGHT", "Budget", "CLUSTERS_WEIGHTS", "Clause",
     "CnfBuffer", "GeneralizedTotalizer", "Model", "OPTIMUM_FOR_APPROXIMATION",
-    "Partition", "RelaxedFormula", "SATISFIABLE", "SatSolver", "ScoreTable",
+    "Partition", "SATISFIABLE", "SatSolver", "ScoreTable",
     "SearchConfig", "SearchReport", "Status", "Totalizer", "UNKNOWN",
     "UNSATISFIABLE", "WcnfFormula", "WcnfParseError", "WeightScheme",
     "brute_force_optimum", "check_hard", "check_model", "cost",

@@ -132,19 +132,21 @@ def _cmd_solve(args) -> int:
     if args.algorithm == search.APX_SUBPROB and args.clusters == 0:
         print("apxmaxsat: apx-subprob needs at least one cluster", file=sys.stderr)
         return EXIT_ERROR
-    f = _load_instance(args.instance)
-    if f is None:
-        return EXIT_ERROR
     stop_flag = threading.Event()
 
     def _handler(signum, frame):
         stop_flag.set()
 
+    # installed before parsing, so a stop during parsing still ends with an
+    # `s` line: the search sees the flag before it loads the solver
     try:
         signal.signal(signal.SIGTERM, _handler)
         signal.signal(signal.SIGINT, _handler)
     except ValueError:
         pass  # not on the main thread; cooperative stop stays unused
+    f = _load_instance(args.instance)
+    if f is None:
+        return EXIT_ERROR
     cfg = search.SearchConfig(
         algorithm=args.algorithm, clusters=args.clusters,
         timeout_s=args.timeout, max_conflicts=args.conflicts,
@@ -152,6 +154,8 @@ def _cmd_solve(args) -> int:
     if args.verbosity >= 1:
         print(f"c algorithm={args.algorithm} clusters={args.clusters} "
               f"timeout={args.timeout} seed={args.seed}", flush=True)
+        for warning in f.warnings:
+            print(f"c warning: {warning}", flush=True)
 
     def on_improve(model: wcnf.Model) -> None:
         print(f"o {model.true_cost}", flush=True)

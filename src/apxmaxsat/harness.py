@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,9 +54,8 @@ def brute_force_optimum(f: wcnf.WcnfFormula, weights=None):
     ws = list(f.soft_weights) if weights is None else list(weights)
     use_object = sum(ws) >= 2 ** 62
     dtype = object if use_object else np.int64
-    hard_masks = [_clause_masks(c) for c in f.hard if not c.tautological]
-    soft_masks = [(_clause_masks(c), ws[i])
-                  for i, (c, _) in enumerate(f.soft) if not c.tautological]
+    hard_masks = [_clause_masks(c) for c in f.hard]
+    soft_masks = [(_clause_masks(c), w) for (c, _), w in zip(f.soft, ws)]
     total = 1 << f.num_vars
     best_cost = None
     best_index = None
@@ -287,11 +286,9 @@ def _run_task(args):
         f = wcnf.parse_wcnf(Path(path).read_bytes())
     except (OSError, wcnf.WcnfParseError) as e:
         return path, config_label(cfg), RunRecord(None, f"parse_error: {e}", 0.0, [])
-    run_cfg = search.SearchConfig(
-        algorithm=cfg.algorithm, clusters=cfg.clusters,
-        timeout_s=timeout_s if timeout_s is not None else cfg.timeout_s,
-        max_conflicts=max_conflicts if max_conflicts is not None else cfg.max_conflicts,
-        seed=cfg.seed)
+    run_cfg = replace(
+        cfg, timeout_s=timeout_s if timeout_s is not None else cfg.timeout_s,
+        max_conflicts=max_conflicts if max_conflicts is not None else cfg.max_conflicts)
     report = search.solve(f, run_cfg)
     elapsed = _time.monotonic() - started
     best_cost = report.best.true_cost if report.best is not None else None

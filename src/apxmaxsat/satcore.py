@@ -43,10 +43,13 @@ class Budget:
     """Wall-clock deadline (time.monotonic()), conflicts left and a
     cooperative stop callable, each None when unlimited. Every solve call
     it is passed to counts its conflicts against it, so one Budget bounds a
-    whole sequence of calls."""
+    whole sequence of calls. A timeout must be a number >= 0: a NaN one
+    would never run out."""
 
     def __init__(self, timeout_s: float | None = None,
                  max_conflicts: int | None = None, stop=None):
+        if timeout_s is not None and not timeout_s >= 0:
+            raise ValueError(f"timeout must be >= 0, got {timeout_s!r}")
         self.deadline = (time.monotonic() + timeout_s
                          if timeout_s is not None else None)
         self.conflicts_left = max_conflicts

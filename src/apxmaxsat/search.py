@@ -156,13 +156,13 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
     elif not weighted and m < 1:
         raise ValueError("apx-subprob needs at least one cluster")
     part, scheme = clustering.partition(f, m)
-    relaxed = wcnf.relax(f)
+    relax_of = wcnf.relax(f)
     if weighted:
-        objectives = [list(zip(relaxed.relax_of, scheme.weight_m))]
+        objectives = [list(zip(relax_of, scheme.weight_m))]
     else:
         order = sorted(range(len(part.clusters)),
                        key=lambda ci: (-scheme.rep[ci], ci))
-        objectives = [[(relaxed.relax_of[i], 1) for i in part.clusters[ci]]
+        objectives = [[(relax_of[i], 1) for i in part.clusters[ci]]
                       for ci in order]
     bounds: list[int | None] = [None] * len(objectives)
     best = _Best(f, scheme, on_improve, started)
@@ -176,11 +176,11 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
 
     if budget.exhausted():
         return report(UNKNOWN)
-    solver = SatSolver(relaxed.total_vars, seed=cfg.seed)
+    solver = SatSolver(f.num_vars + len(relax_of), seed=cfg.seed)
     for clause in f.hard:
         solver.add_clause(clause.lits)
-    for lits in relaxed.relaxed_soft():
-        solver.add_clause(lits)
+    for (clause, _), r in zip(f.soft, relax_of):
+        solver.add_clause(clause.lits + (r,))
     st, model = solver.solve(budget=budget)
     if st is Status.UNSAT:
         return SearchReport(None, UNSATISFIABLE, [])

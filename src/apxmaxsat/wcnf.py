@@ -32,34 +32,27 @@ class WcnfParseError(ValueError):
 class Clause:
     """Disjunction of literals, deduplicated preserving first occurrence.
 
-    A clause containing both a literal and its negation is tautological:
-    satisfied by every assignment and exempt from cost.
+    A clause holding both a literal and its negation is kept as written;
+    satisfied_by holds for it under every assignment, so it never adds cost.
     """
 
     lits: tuple[int, ...]
-    tautological: bool = False
 
     @classmethod
     def of(cls, lits) -> "Clause":
-        seen: set[int] = set()
-        out: list[int] = []
-        for l in lits:
-            l = int(l)
-            if l == 0:
-                raise ValueError("0 is not a literal")
-            if l not in seen:
-                seen.add(l)
-                out.append(l)
+        """Raises ValueError on a 0 among lits or on no lits at all."""
+        out = tuple(dict.fromkeys(map(int, lits)))
+        if 0 in out:
+            raise ValueError("literal 0 mid-clause")
         if not out:
             raise ValueError("empty clause")
-        taut = any(-l in seen for l in out)
-        return cls(tuple(out), taut)
+        return cls(out)
 
     def satisfied_by(self, assignment) -> bool:
         return any(assignment[abs(l)] == (l > 0) for l in self.lits)
 
     def max_var(self) -> int:
-        return max(abs(l) for l in self.lits)
+        return max(map(abs, self.lits))
 
 
 @dataclass
@@ -96,24 +89,6 @@ class WcnfFormula:
         return sum(self.soft_weights)
 
 
-@dataclass(frozen=True)
-class RelaxedFormula:
-    """A formula with one fresh relaxation variable per soft clause.
-
-    relax_of[i] is the relaxation variable of soft clause i; ids are
-    allocated in soft-clause order starting at base.num_vars + 1.
-    """
-
-    base: WcnfFormula
-    relax_of: tuple[int, ...]
-    total_vars: int
-
-    def relaxed_soft(self):
-        """Yield each soft clause extended with its relaxation variable."""
-        for i, (c, _) in enumerate(self.base.soft):
-            yield c.lits + (self.relax_of[i],)
-
-
 @dataclass
 class Model:
     """A total assignment over the original variables, with its cost under
@@ -129,8 +104,8 @@ def parse_wcnf(text) -> WcnfFormula:
     """Parse old-style WDIMACS from a str or bytes buffer.
 
     Raises WcnfParseError on bytes that are not UTF-8, a malformed header,
-    non-positive weight, weight above top, a 0 inside a clause body, a
-    missing terminating 0, or any non-integer token. A clause count
+    an 'h' line, non-positive weight, weight above top, a 0 inside a clause
+    body, a missing terminating 0, or any non-integer token. A clause count
     differing from the header is recorded as a warning, and variables beyond
     the header count grow num_vars.
     """
@@ -140,78 +115,63 @@ def parse_wcnf(text) -> WcnfFormula:
         except UnicodeDecodeError as e:
             raise WcnfParseError(text.count(b"\n", 0, e.start) + 1,
                                  f"byte 0x{text[e.start]:02x} is not UTF-8") from None
-    header: tuple[int, int, int] | None = None
+    top: int | None = None  # None until the 'p wcnf' header
     hard: list[Clause] = []
     soft: list[tuple[Clause, int]] = []
     max_var = 0
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    line_no = 0
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        toks = line.split()
+        if not toks or toks[0][0] == "c":
             continue
-        if line.startswith("p"):
-            if header is not None:
+        if toks[0] == "h":
+            raise WcnfParseError(
+                line_no,
+                "'h' marker is the 2022 WCNF format, which is not supported; "
+                "use old-style WDIMACS with a 'p wcnf' header",
+            )
+        if toks[0][0] == "p":
+            if top is not None:
                 raise WcnfParseError(line_no, "duplicate 'p' header")
-            toks = line.split()
             if len(toks) != 5 or toks[1] != "wcnf":
                 raise WcnfParseError(
                     line_no, "malformed header; expected 'p wcnf <vars> <clauses> <top>'"
                 )
             try:
-                nvars, nclauses, top = int(toks[2]), int(toks[3]), int(toks[4])
+                nvars, nclauses, top = map(int, toks[2:])
             except ValueError:
                 raise WcnfParseError(line_no, "non-integer header field") from None
             if nvars < 0 or nclauses < 0 or top < 1:
                 raise WcnfParseError(line_no, "header fields out of range")
-            header = (nvars, nclauses, top)
             continue
-        if header is None:
-            if line.split()[0] == "h":
-                raise WcnfParseError(
-                    line_no,
-                    "'h' marker is the 2022 WCNF format, which is not supported; "
-                    "use old-style WDIMACS with a 'p wcnf' header",
-                )
+        if top is None:
             raise WcnfParseError(line_no, "clause before 'p wcnf' header")
-        toks = line.split()
-        if toks[0] == "h":
-            raise WcnfParseError(
-                line_no,
-                "'h' marker is the 2022 WCNF format, which is not supported",
-            )
         try:
-            vals = [int(t) for t in toks]
+            w, *body = map(int, toks)
         except ValueError:
-            raise WcnfParseError(line_no, f"non-integer token in clause") from None
-        top = header[2]
-        w = vals[0]
+            raise WcnfParseError(line_no, "non-integer token in clause") from None
         if w <= 0:
             raise WcnfParseError(line_no, f"weight {w} must be positive")
         if w > top:
             raise WcnfParseError(line_no, f"weight {w} exceeds top {top}")
-        if vals[-1] != 0:
+        if not body or body.pop() != 0:
             raise WcnfParseError(line_no, "clause missing terminating 0")
-        body = vals[1:-1]
-        if 0 in body:
-            raise WcnfParseError(line_no, "literal 0 mid-clause")
-        if not body:
-            raise WcnfParseError(line_no, "empty clause")
-        clause = Clause.of(body)
+        try:
+            clause = Clause.of(body)
+        except ValueError as e:
+            raise WcnfParseError(line_no, str(e)) from None
         max_var = max(max_var, clause.max_var())
         if w == top:
             hard.append(clause)
         else:
             soft.append((clause, w))
-    if header is None:
-        raise WcnfParseError(max(last_line, 1), "missing 'p wcnf' header")
+    if top is None:
+        raise WcnfParseError(max(line_no, 1), "missing 'p wcnf' header")
     warnings = []
-    declared = header[1]
     found = len(hard) + len(soft)
-    if found != declared:
-        warnings.append(f"header declares {declared} clauses, found {found}")
-    num_vars = max(header[0], max_var)
-    return WcnfFormula(num_vars, hard, soft, warnings)
+    if found != nclauses:
+        warnings.append(f"header declares {nclauses} clauses, found {found}")
+    return WcnfFormula(max(nvars, max_var), hard, soft, warnings)
 
 
 def serialize_wcnf(f: WcnfFormula) -> str:
@@ -229,13 +189,14 @@ def serialize_wcnf(f: WcnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def relax(f: WcnfFormula) -> RelaxedFormula:
-    """Attach a fresh relaxation variable to every soft clause.
+def relax(f: WcnfFormula) -> tuple[int, ...]:
+    """Relaxation variables, one fresh variable per soft clause.
 
-    Fresh ids are num_vars+1, num_vars+2, ... in soft-clause order.
+    Soft clause i is relaxed by num_vars+1+i, so the relaxed formula has
+    num_vars + len(soft) variables and soft clause i becomes
+    clause.lits + (relax(f)[i],).
     """
-    relax_of = tuple(f.num_vars + 1 + i for i in range(len(f.soft)))
-    return RelaxedFormula(f, relax_of, f.num_vars + len(f.soft))
+    return tuple(range(f.num_vars + 1, f.num_vars + 1 + len(f.soft)))
 
 
 def _require_total(f: WcnfFormula, assignment) -> None:
@@ -248,14 +209,12 @@ def cost(f: WcnfFormula, assignment, weights=None) -> int:
     """Summed weight of soft clauses unsatisfied by a total assignment.
 
     weights, when given, substitutes a per-soft-index weight sequence
-    (e.g. an approximated weight map); tautological soft clauses never
-    contribute.
+    (e.g. an approximated weight map). A tautological soft clause is
+    satisfied by every assignment, so it never contributes.
     """
     _require_total(f, assignment)
     total = 0
     for i, (c, w) in enumerate(f.soft):
-        if c.tautological:
-            continue
         if not c.satisfied_by(assignment):
             total += w if weights is None else weights[i]
     return total

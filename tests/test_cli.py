@@ -105,6 +105,17 @@ def test_verbose_comments_prefixed(e1_path):
     assert s_lines(r.stdout) == ["s SATISFIABLE"]
 
 
+def test_verbose_prints_parse_warnings(tmp_path):
+    p = tmp_path / "short.wcnf"
+    p.write_text("p wcnf 2 5 10\n10 1 2 0\n3 -1 0\n2 -2 0\n")
+    r = run_cli("solve", str(p), "--verbosity", "1")
+    assert r.returncode == 10
+    assert "c warning: header declares 5 clauses, found 3" in r.stdout.splitlines()
+    quiet = run_cli("solve", str(p))
+    assert quiet.returncode == 10
+    assert not any(line.startswith("c") for line in quiet.stdout.splitlines())
+
+
 # ----------------------------------------------------------------------
 # error handling
 
@@ -277,6 +288,23 @@ def test_bench_report_into_missing_directory_exit_one(tmp_path):
 
 # ----------------------------------------------------------------------
 # graceful termination
+
+def test_sigterm_during_parsing_reports_unknown(e1_path):
+    # the parser signals its own process, as a SIGTERM arriving mid-parse would
+    script = (
+        "import os, signal, sys\n"
+        "from apxmaxsat import cli, wcnf\n"
+        "real = wcnf.parse_wcnf\n"
+        "def parse(text):\n"
+        "    os.kill(os.getpid(), signal.SIGTERM)\n"
+        "    return real(text)\n"
+        "wcnf.parse_wcnf = parse\n"
+        f"sys.exit(cli.main(['solve', {e1_path!r}]))\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["s UNKNOWN"]
+
 
 def test_sigterm_dumps_best_model(tmp_path):
     rng = seeded_rng(404)

@@ -129,6 +129,15 @@ def test_run_benchmarks_unsolved_instance_scores_zero(tmp_path):
     assert all(table.scores[dead][label] == 0 for label in table.configs)
 
 
+def test_run_benchmarks_keeps_every_config_field(tmp_path):
+    # every field of a configuration, its stop flag included, reaches the search
+    d = write_suite(tmp_path, {"a.wcnf": E1_TEXT})
+    stopped = SearchConfig(algorithm=search.APX_WEIGHT, clusters=0,
+                           stop=lambda: True)
+    rec = run_benchmarks(d, [stopped]).records[str(d / "a.wcnf")]["apx-weight/m=0"]
+    assert (rec.status, rec.cost) == (search.UNKNOWN, None)
+
+
 GREEDY_TRAP_TEXT = "p wcnf 2 4 9\n9 1 2 0\n5 -1 0\n3 -2 0\n3 -2 0\n"
 
 

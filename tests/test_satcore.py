@@ -70,6 +70,13 @@ def test_zero_time_budget_is_unknown():
     assert st_ is Status.UNKNOWN and model is None
 
 
+@pytest.mark.parametrize("timeout_s", [float("nan"), -1.0, float("-inf")])
+def test_budget_rejects_nan_or_negative_timeout(timeout_s):
+    # nan compares false with every deadline, so it would never run out
+    with pytest.raises(ValueError, match="timeout"):
+        Budget(timeout_s=timeout_s)
+
+
 def test_zero_conflict_budget_is_unknown():
     assert solve([[1, 2]], budget=Budget(max_conflicts=0))[0] is Status.UNKNOWN
 

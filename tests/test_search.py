@@ -119,7 +119,7 @@ def test_apx_subprob_counter_is_unit_gte_capped_at_first_count(monkeypatch):
         "10 2 0\n10 -2 0\n10 5 0\n1 3 0\n1 -3 0\n1 4 0\n1 -4 0\n")
     part, _ = clustering.partition(f, clustering.distinct_weight_count(f))
     assert len(part.clusters) == 3 and clustering.is_bmo(f, part)
-    relax_of = wcnf.relax(f).relax_of
+    relax_of = wcnf.relax(f)
     cluster_of = {frozenset(relax_of[i] for i in members): ci
                   for ci, members in enumerate(part.clusters)}
     models = []
@@ -215,6 +215,13 @@ def test_conflict_budget_is_shared_by_every_solver_call(monkeypatch):
     spent = [c for c, _ in calls]
     assert sum(1 for c in spent if c) > 1
     assert sum(spent) <= k and budget.conflicts_left == k - sum(spent)
+
+
+def test_nan_timeout_is_rejected(e1):
+    with pytest.raises(ValueError, match="timeout"):
+        search.solve(e1, SearchConfig(timeout_s=float("nan")))
+    with pytest.raises(ValueError, match="timeout"):
+        search.check_hard(e1, timeout_s=float("nan"))
 
 
 def test_stop_flag_interrupts(e1):

@@ -91,6 +91,61 @@ def test_parse_accepts_comments_blanks_and_bytes():
     assert f.hard[0].lits == (1, -2)
 
 
+# each accepted input with its exact result:
+# (num_vars, hard clauses' lits, soft (lits, weight) pairs, warnings)
+ACCEPTED = [
+    ("leading and trailing whitespace",
+     "  p wcnf 2 2 9  \n   9 1 -2 0   \n 3 2 0 \n",
+     (2, [(1, -2)], [((2,), 3)], [])),
+    ("tabs",
+     "p\twcnf\t3\t2\t9\n9\t1\t2\t0\n\t4\t-3\t0\t\n",
+     (3, [(1, 2)], [((-3,), 4)], [])),
+    ("crlf line endings",
+     "c x\r\np wcnf 2 2 9\r\n9 1 2 0\r\n1 -1 0\r\n",
+     (2, [(1, 2)], [((-1,), 1)], [])),
+    ("comment variants",
+     "c\ncomment\nc\tx\n   c indented\ncc 1 0\np wcnf 1 1 5\nc between\n"
+     "5 1 0\nc no final newline",
+     (1, [(1,)], [], [])),
+    ("blank and whitespace-only lines",
+     "\n  \n\t\np wcnf 1 1 5\n\n2 1 0\n\n",
+     (1, [], [((1,), 2)], [])),
+    ("duplicate literals keep their first occurrence",
+     "p wcnf 3 2 9\n9 1 1 2 1 0\n2 -3 -3 0\n",
+     (3, [(1, 2)], [((-3,), 2)], [])),
+    ("tautological clauses are kept as written",
+     "p wcnf 2 2 9\n9 1 -1 2 0\n4 -2 2 -2 0\n",
+     (2, [(1, -1, 2)], [((-2, 2), 4)], [])),
+    ("variables beyond the header grow num_vars",
+     "p wcnf 1 2 9\n9 1 5 0\n3 -7 0\n",
+     (7, [(1, 5)], [((-7,), 3)], [])),
+    ("more clauses declared than found",
+     "p wcnf 2 5 9\n9 1 2 0\n1 -2 0\n",
+     (2, [(1, 2)], [((-2,), 1)], ["header declares 5 clauses, found 2"])),
+    ("fewer clauses declared than found",
+     "p wcnf 1 0 9\n3 1 0\n",
+     (1, [], [((1,), 3)], ["header declares 0 clauses, found 1"])),
+    ("empty formula",
+     "p wcnf 0 0 1\n",
+     (0, [], [], [])),
+    ("weights beyond 64 bits",
+     "p wcnf 2 2 100000000000000000000\n100000000000000000000 1 0\n"
+     "99999999999999999999 -2 0\n",
+     (2, [(1,)], [((-2,), 99999999999999999999)], [])),
+    ("bytes with crlf",
+     b"p wcnf 2 2 9\r\n9 -1 -2 0\r\n5 2 0\r\n",
+     (2, [(-1, -2)], [((2,), 5)], [])),
+]
+
+
+@pytest.mark.parametrize("text,expected", [(t, e) for _, t, e in ACCEPTED],
+                         ids=[name for name, _, _ in ACCEPTED])
+def test_parse_accepted_inputs_exactly(text, expected):
+    f = parse_wcnf(text)
+    assert (f.num_vars, [c.lits for c in f.hard],
+            [(c.lits, w) for c, w in f.soft], f.warnings) == expected
+
+
 # ----------------------------------------------------------------------
 # clause normalization
 
@@ -98,11 +153,12 @@ def test_clause_dedup_preserves_first_occurrence():
     assert Clause.of([2, -1, 2, -1]).lits == (2, -1)
 
 
-def test_clause_tautology_flagged_and_kept():
+def test_clause_tautology_kept_and_never_costs():
     f = parse_wcnf("p wcnf 1 1 5\n2 1 -1 0\n")
     c, w = f.soft[0]
-    assert c.tautological and w == 2
+    assert c.lits == (1, -1) and w == 2
     # always satisfied, never contributes cost
+    assert c.satisfied_by({1: True}) and c.satisfied_by({1: False})
     assert cost(f, {1: True}) == 0
     assert cost(f, {1: False}) == 0
 
@@ -123,35 +179,38 @@ def test_formula_validation():
 # ----------------------------------------------------------------------
 # relax
 
+def relaxed_soft(f, relax_of):
+    return [c.lits + (r,) for (c, _), r in zip(f.soft, relax_of)]
+
+
 def test_relax_assigns_sequential_fresh_ids(e1):
-    r = relax(e1)
-    assert r.relax_of == (3, 4)
-    assert r.total_vars == 4
-    assert list(r.relaxed_soft()) == [(-1, 3), (-2, 4)]
+    relax_of = relax(e1)
+    assert relax_of == (3, 4)
+    assert e1.num_vars + len(relax_of) == 4
+    assert relaxed_soft(e1, relax_of) == [(-1, 3), (-2, 4)]
 
 
 def test_relax_empty_soft():
     f = parse_wcnf("p wcnf 2 1 5\n5 1 2 0\n")
-    r = relax(f)
-    assert r.relax_of == () and r.total_vars == 2
+    assert relax(f) == ()
 
 
 def test_relax_three_soft_clauses():
     f = WcnfFormula(3, [], [(Clause.of([1]), 1), (Clause.of([2]), 1),
                             (Clause.of([3]), 1)])
-    assert relax(f).relax_of == (4, 5, 6)
+    assert relax(f) == (4, 5, 6)
 
 
 @given(formula_strategy())
 def test_relax_extension_preserves_models(f):
-    r = relax(f)
+    relax_of = relax(f)
     for assignment in all_assignments(f.num_vars):
         if not all(c.satisfied_by(assignment) for c in f.hard):
             continue
         ext = dict(assignment)
         for i, (c, _) in enumerate(f.soft):
-            ext[r.relax_of[i]] = not c.satisfied_by(assignment)
-        for lits in r.relaxed_soft():
+            ext[relax_of[i]] = not c.satisfied_by(assignment)
+        for lits in relaxed_soft(f, relax_of):
             assert any(ext[abs(l)] == (l > 0) for l in lits)
         break
 
@@ -186,8 +245,7 @@ def test_cost_bounds_and_zero_iff_all_satisfied(f):
     for assignment in all_assignments(f.num_vars):
         c = cost(f, assignment)
         assert 0 <= c <= total
-        all_sat = all(cl.tautological or cl.satisfied_by(assignment)
-                      for cl, _ in f.soft)
+        all_sat = all(cl.satisfied_by(assignment) for cl, _ in f.soft)
         assert (c == 0) == all_sat
 
 
