@@ -84,19 +84,22 @@ class GeneralizedTotalizer:
                     reach.add(t)
         out = {s: sink.new_var() for s in sorted(reach)}
         over = sink.new_var() if need_over else None
-        for s, l in lsums:
-            sink.add_clause([-l, out[s]])
-        for s, l in rsums:
-            sink.add_clause([-l, out[s]])
+        # each child output is negated once, so every clause that holds it
+        # shares one int object
+        lneg = [(s, -l) for s, l in lsums]
+        rneg = [(s, -l) for s, l in rsums]
+        for s, nl in lneg:
+            sink.add_clause([nl, out[s]])
+        for s, nl in rneg:
+            sink.add_clause([nl, out[s]])
         if lover is not None:
             sink.add_clause([-lover, over])
         if rover is not None:
             sink.add_clause([-rover, over])
-        for sa, la in lsums:
-            for sb, lb in rsums:
+        for sa, na in lneg:
+            for sb, nb in rneg:
                 t = sa + sb
-                target = out[t] if t <= self.max_bound else over
-                sink.add_clause([-la, -lb, target])
+                sink.add_clause([na, nb, out[t] if t <= self.max_bound else over])
         return [(s, out[s]) for s in sorted(reach)], over
 
     def set_bound(self, b: int, sink) -> None:

@@ -6,6 +6,17 @@ saving (default polarity false), geometric restarts, and activity-based
 learned-clause deletion. Clauses can be added between solve calls; clauses
 are never retracted, so the database only grows within a search episode.
 
+Clauses live in one flat list of ints, the arena (MiniSat's layout). A
+clause is the int offset of its header, which holds the clause's size and
+is negated once the clause is deleted; its literals follow, and the first
+two are watched. Literal values and watch lists are lists indexed by the
+literal itself: -l is reached through Python's negative indexing, so
+value[l] is 1, -1 or 0 for a true, false or unassigned literal l, and
+value[v] for a variable v > 0 reads its own state. Learned-clause deletion
+only marks headers; once deleted clauses hold more than half the arena it
+is compacted, keeping the order of the live clauses and of every watch
+list, so the search is the same as if nothing had moved.
+
 A solve call may take assumptions (MiniSat style): literals that hold for
 that call only. Assumption i is decided at level i+1 before any branching;
 when one is already false at its turn the call returns UNSAT and the
@@ -31,6 +42,7 @@ from heapq import heappop, heappush
 
 _RESCALE_LIMIT = 1e100
 _RANDOM_DECISION_FREQ = 0.02
+_SCAN_LIMIT = 32  # add_clause scans a list this short faster than it hashes
 
 
 class Status(Enum):
@@ -67,35 +79,36 @@ class Budget:
         return False
 
 
-class _Clause:
-    __slots__ = ("lits", "learnt", "activity", "deleted")
-
-    def __init__(self, lits, learnt=False):
-        self.lits = lits
-        self.learnt = learnt
-        self.activity = 0.0
-        self.deleted = False
-
-
 class SatSolver:
     """CDCL solver over variables 1..num_vars.
 
     Variables referenced beyond the current range auto-extend it. add_clause
     accepts any iterable of nonzero signed ints; tautologies are dropped and
     duplicate literals deduplicated. Adding the empty clause (or deriving a
-    level-0 conflict) makes every future solve return UNSAT.
+    level-0 conflict) makes every future solve return UNSAT. stats counts
+    conflicts, decisions, restarts, learned-clause reductions and
+    propagations (literals taken off the trail by propagation).
     """
 
     def __init__(self, num_vars: int = 0, seed: int = 0):
         self.num_vars = 0
         self.ok = True
-        self.clauses: list[_Clause] = []
-        self.learnts: list[_Clause] = []
-        self.watches: dict[int, list[_Clause]] = {}
-        # per-variable state, index 0 unused
+        # clause arena: [size, lit, lit, ...] per clause, size negated once
+        # deleted; a clause is the offset of its header
+        self.arena: list[int] = []
+        self.learnts: list[int] = []
+        self.cla_activity: dict[int, float] = {}  # learnt offset -> activity
+        self._problem_clauses = 0
+        self._garbage = 0  # arena cells held by deleted clauses
+        # literal-indexed state, -l reached by negative indexing: slots
+        # 1.._cap hold the positive literals, the last _cap slots the
+        # negative ones
+        self._cap = 0
         self.value = [0]        # 1 true, -1 false, 0 unassigned
+        self.watches: list[list[int] | None] = [None]
+        # per-variable state, index 0 unused
         self.level = [0]
-        self.reason: list[_Clause | None] = [None]
+        self.reason: list[int | None] = [None]
         self.phase = [False]    # saved polarity; default false
         self.activity = [0.0]
         self.trail: list[int] = []
@@ -108,7 +121,8 @@ class SatSolver:
         self.cla_decay_inv = 1.0 / 0.999
         self.rng = random.Random(seed)
         self._max_learnts: float | None = None
-        self.stats = {"conflicts": 0, "decisions": 0, "restarts": 0, "reductions": 0}
+        self.stats = {"conflicts": 0, "decisions": 0, "restarts": 0,
+                      "reductions": 0, "propagations": 0}
         for _ in range(num_vars):
             self.new_var()
 
@@ -118,13 +132,25 @@ class SatSolver:
     def new_var(self) -> int:
         self.num_vars += 1
         v = self.num_vars
-        self.value.append(0)
+        if v > self._cap:
+            self._grow(max(2 * self._cap, 16))
+        self.value[v] = self.value[-v] = 0
+        self.watches[v] = []
+        self.watches[-v] = []
         self.level.append(0)
         self.reason.append(None)
         self.phase.append(False)
         self.activity.append(0.0)
         heappush(self._heap, (-0.0, v))
         return v
+
+    def _grow(self, cap: int) -> None:
+        """Widen the literal-indexed lists to hold variables 1..cap."""
+        old = self._cap
+        gap = 2 * (cap - old)
+        self.value = self.value[:old + 1] + [0] * gap + self.value[old + 1:]
+        self.watches = self.watches[:old + 1] + [None] * gap + self.watches[old + 1:]
+        self._cap = cap
 
     def _ensure_var(self, v: int) -> None:
         while self.num_vars < v:
@@ -134,48 +160,63 @@ class SatSolver:
         """Add a clause; no-op once the solver is in the UNSAT state."""
         if not self.ok:
             return
-        seen: set[int] = set()
         out: list[int] = []
+        seen = out  # a set instead once the clause is long
+        top = self.num_vars
         for l in lits:
             l = int(l)
-            if l == 0:
+            if not -top <= l <= top:
+                self._ensure_var(abs(l))
+                top = self.num_vars
+            elif l == 0:
                 raise ValueError("0 is not a literal")
-            self._ensure_var(abs(l))
             if l in seen:
                 continue
             if -l in seen:
                 return  # tautology: always satisfied
-            seen.add(l)
             out.append(l)
-        self._backtrack(0)
+            if len(out) >= _SCAN_LIMIT:
+                if seen is out:
+                    seen = set(out)
+                else:
+                    seen.add(l)
+        if self.trail_lim:
+            self._backtrack(0)
         value = self.value
-        reduced: list[int] = []
         for l in out:
-            v = value[l] if l > 0 else -value[-l]
-            if v == 1:
-                return  # satisfied at level 0
-            if v == -1:
-                continue  # permanently false literal
-            reduced.append(l)
-        if not reduced:
-            self.ok = False
-            return
-        if len(reduced) == 1:
-            self._enqueue(reduced[0], None)
+            if value[l]:
+                if 1 in [value[k] for k in out]:
+                    return  # satisfied at level 0
+                out = [k for k in out if not value[k]]  # false ones stay false
+                break
+        if len(out) > 1:
+            self._problem_clauses += 1
+            self._attach(out)
+        elif out:
+            self._enqueue(out[0], None)
             if self._propagate() is not None:
                 self.ok = False
-            return
-        c = _Clause(reduced)
-        self.clauses.append(c)
-        self.watches.setdefault(reduced[0], []).append(c)
-        self.watches.setdefault(reduced[1], []).append(c)
+        else:
+            self.ok = False
+
+    def _attach(self, lits: list[int]) -> int:
+        """Append a clause of two or more literals to the arena and watch
+        its first two; returns its offset."""
+        arena = self.arena
+        c = len(arena)
+        arena.append(len(lits))
+        arena += lits
+        self.watches[lits[0]].append(c)
+        self.watches[lits[1]].append(c)
+        return c
 
     # ------------------------------------------------------------------
     # trail
 
-    def _enqueue(self, lit: int, reason: _Clause | None) -> None:
+    def _enqueue(self, lit: int, reason: int | None) -> None:
         v = abs(lit)
-        self.value[v] = 1 if lit > 0 else -1
+        self.value[lit] = 1
+        self.value[-lit] = -1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -186,10 +227,11 @@ class SatSolver:
         lim = self.trail_lim[target]
         heap = self._heap
         act = self.activity
+        value = self.value
         for i in range(len(self.trail) - 1, lim - 1, -1):
             v = abs(self.trail[i])
-            self.phase[v] = self.value[v] == 1
-            self.value[v] = 0
+            self.phase[v] = value[v] == 1
+            value[v] = value[-v] = 0
             self.reason[v] = None
             heappush(heap, (-act[v], v))
         del self.trail[lim:]
@@ -201,54 +243,55 @@ class SatSolver:
     # ------------------------------------------------------------------
     # propagation
 
-    def _propagate(self) -> _Clause | None:
+    def _propagate(self) -> int | None:
+        arena = self.arena
         watches = self.watches
         value = self.value
         trail = self.trail
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            false_lit = -p
-            ws = watches.get(false_lit)
+        start = qhead = self.qhead
+        conflict = None
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            ws = watches[false_lit]
             if not ws:
                 continue
-            keep: list[_Clause] = []
-            conflict = None
+            keep: list[int] = []
             for idx in range(len(ws)):
                 c = ws[idx]
-                if c.deleted:
-                    continue
-                lits = c.lits
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], false_lit
-                first = lits[0]
-                v0 = value[first] if first > 0 else -value[-first]
+                size = arena[c]
+                if size < 0:
+                    continue  # deleted
+                c1 = c + 1
+                first = arena[c1]
+                if first == false_lit:
+                    first = arena[c + 2]
+                    arena[c1] = first
+                    arena[c + 2] = false_lit
+                v0 = value[first]
                 if v0 == 1:
                     keep.append(c)
                     continue
-                moved = False
-                for k in range(2, len(lits)):
-                    lk = lits[k]
-                    vk = value[lk] if lk > 0 else -value[-lk]
-                    if vk != -1:
-                        lits[1] = lk
-                        lits[k] = false_lit
-                        watches.setdefault(lk, []).append(c)
-                        moved = True
+                for k in range(c + 3, c1 + size):
+                    lk = arena[k]
+                    if value[lk] != -1:
+                        arena[c + 2] = lk
+                        arena[k] = false_lit
+                        watches[lk].append(c)
                         break
-                if moved:
-                    continue
-                keep.append(c)
-                if v0 == -1:
-                    keep.extend(ws[idx + 1:])
-                    conflict = c
-                    break
-                self._enqueue(first, c)
+                else:
+                    keep.append(c)
+                    if v0 == -1:
+                        keep.extend(ws[idx + 1:])
+                        conflict = c
+                        break
+                    self._enqueue(first, c)
             watches[false_lit] = keep
             if conflict is not None:
-                self.qhead = len(trail)
-                return conflict
-        return None
+                break
+        self.stats["propagations"] += qhead - start
+        self.qhead = len(trail) if conflict is not None else qhead
+        return conflict
 
     # ------------------------------------------------------------------
     # conflict analysis (first UIP)
@@ -273,16 +316,18 @@ class SatSolver:
                       for v in range(1, self.num_vars + 1) if self.value[v] == 0]
         self._heap.sort()
 
-    def _bump_cla(self, c: _Clause) -> None:
-        c.activity += self.cla_inc
-        if c.activity > _RESCALE_LIMIT:
-            for d in self.learnts:
-                d.activity *= 1e-100
+    def _bump_cla(self, c: int) -> None:
+        act = self.cla_activity
+        act[c] += self.cla_inc
+        if act[c] > _RESCALE_LIMIT:
+            for d in act:
+                act[d] *= 1e-100
             self.cla_inc *= 1e-100
 
-    def _analyze(self, confl: _Clause) -> tuple[list[int], int]:
+    def _analyze(self, confl: int) -> tuple[list[int], int]:
         learnt = [0]  # slot 0 becomes the asserting literal
         seen = bytearray(self.num_vars + 1)
+        arena = self.arena
         level = self.level
         reason = self.reason
         trail = self.trail
@@ -292,11 +337,10 @@ class SatSolver:
         p = 0
         c = confl
         while True:
-            if c.learnt:
+            if c in self.cla_activity:
                 self._bump_cla(c)
-            lits = c.lits
-            for k in range(0 if p == 0 else 1, len(lits)):
-                q = lits[k]
+            for k in range(c + 1 if p == 0 else c + 2, c + 1 + arena[c]):
+                q = arena[k]
                 v = abs(q)
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
@@ -329,11 +373,9 @@ class SatSolver:
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)
             return
-        c = _Clause(learnt, learnt=True)
-        c.activity = self.cla_inc
+        c = self._attach(learnt)
         self.learnts.append(c)
-        self.watches.setdefault(learnt[0], []).append(c)
-        self.watches.setdefault(learnt[1], []).append(c)
+        self.cla_activity[c] = self.cla_inc
         self._enqueue(learnt[0], c)
 
     # ------------------------------------------------------------------
@@ -356,23 +398,51 @@ class SatSolver:
     # ------------------------------------------------------------------
     # learned-clause management
 
-    def _locked(self, c: _Clause) -> bool:
-        return self.reason[abs(c.lits[0])] is c
-
     def _reduce_db(self) -> None:
         self.stats["reductions"] += 1
-        self.learnts.sort(key=lambda c: c.activity)
+        arena = self.arena
+        reason = self.reason
+        act = self.cla_activity
+        self.learnts.sort(key=act.__getitem__)
         target = len(self.learnts) // 2
         removed = 0
-        kept: list[_Clause] = []
+        kept: list[int] = []
         for c in self.learnts:
-            if removed < target and len(c.lits) > 2 and not self._locked(c):
-                c.deleted = True
+            size = arena[c]
+            # a clause that is the reason of its first literal is locked
+            if removed < target and size > 2 and reason[abs(arena[c + 1])] != c:
+                arena[c] = -size
+                del act[c]
+                self._garbage += size + 1
                 removed += 1
             else:
                 kept.append(c)
         self.learnts = kept
         self._max_learnts *= 1.3
+        if 2 * self._garbage > len(arena):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop deleted clauses from the arena, keeping the order of the
+        live ones and of every watch list, and move every offset held in
+        reasons, learnts, activities and watches to the clause's new place."""
+        arena = self.arena
+        moved: dict[int, int] = {}
+        out: list[int] = []
+        c = 0
+        while c < len(arena):
+            size = arena[c]
+            if size > 0:
+                moved[c] = len(out)
+                out += arena[c:c + 1 + size]
+            c += abs(size) + 1
+        self.arena = out
+        self._garbage = 0
+        self.watches = [ws if ws is None else [moved[d] for d in ws if d in moved]
+                        for ws in self.watches]
+        self.reason = [None if r is None else moved[r] for r in self.reason]
+        self.learnts = [moved[c] for c in self.learnts]
+        self.cla_activity = {moved[c]: a for c, a in self.cla_activity.items()}
 
     # ------------------------------------------------------------------
     # search
@@ -404,7 +474,7 @@ class SatSolver:
             self.ok = False
             return Status.UNSAT, None
         if self._max_learnts is None:
-            self._max_learnts = max(4000.0, 2.0 * len(self.clauses))
+            self._max_learnts = max(4000.0, 2.0 * self._problem_clauses)
         since_restart = 0
         restart_lim = 100.0
         while True:
@@ -435,7 +505,7 @@ class SatSolver:
                 lit = 0
                 while len(self.trail_lim) < len(assumptions):
                     p = assumptions[len(self.trail_lim)]
-                    pv = self.value[p] if p > 0 else -self.value[-p]
+                    pv = self.value[p]
                     if pv == -1:
                         return Status.UNSAT, None
                     if pv == 0:

@@ -16,6 +16,7 @@ Formulas are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 INF_COST = float("inf")  # cost of the empty (absent) model
 
@@ -51,8 +52,10 @@ class Clause:
     def satisfied_by(self, assignment) -> bool:
         return any(assignment[abs(l)] == (l > 0) for l in self.lits)
 
-    def max_var(self) -> int:
-        return max(map(abs, self.lits))
+
+def _max_var(clauses) -> int:
+    """Largest variable in any of the clauses, 0 when there are none."""
+    return max(map(abs, chain.from_iterable(c.lits for c in clauses)), default=0)
 
 
 @dataclass
@@ -71,14 +74,12 @@ class WcnfFormula:
     warnings: list[str] = field(default_factory=list, compare=False)
 
     def __post_init__(self):
-        for c in self.hard:
-            if c.max_var() > self.num_vars:
-                raise ValueError("hard clause variable exceeds num_vars")
-        for c, w in self.soft:
-            if c.max_var() > self.num_vars:
-                raise ValueError("soft clause variable exceeds num_vars")
-            if w < 1:
-                raise ValueError("soft weight must be >= 1")
+        if _max_var(self.hard) > self.num_vars:
+            raise ValueError("hard clause variable exceeds num_vars")
+        if _max_var(c for c, _ in self.soft) > self.num_vars:
+            raise ValueError("soft clause variable exceeds num_vars")
+        if any(w < 1 for _, w in self.soft):
+            raise ValueError("soft weight must be >= 1")
 
     @property
     def soft_weights(self) -> list[int]:
@@ -118,7 +119,6 @@ def parse_wcnf(text) -> WcnfFormula:
     top: int | None = None  # None until the 'p wcnf' header
     hard: list[Clause] = []
     soft: list[tuple[Clause, int]] = []
-    max_var = 0
     line_no = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
         toks = line.split()
@@ -160,7 +160,6 @@ def parse_wcnf(text) -> WcnfFormula:
             clause = Clause.of(body)
         except ValueError as e:
             raise WcnfParseError(line_no, str(e)) from None
-        max_var = max(max_var, clause.max_var())
         if w == top:
             hard.append(clause)
         else:
@@ -171,6 +170,7 @@ def parse_wcnf(text) -> WcnfFormula:
     found = len(hard) + len(soft)
     if found != nclauses:
         warnings.append(f"header declares {nclauses} clauses, found {found}")
+    max_var = max(_max_var(hard), _max_var(c for c, _ in soft))
     return WcnfFormula(max(nvars, max_var), hard, soft, warnings)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -229,6 +230,24 @@ def test_gte_size_grows_with_distinct_weights():
             total += len(buf.clauses)
         averages.append(total / trials)
     assert averages == sorted(averages)
+
+
+@pytest.mark.parametrize("seed, clauses, num_vars, digest", [
+    (0, 2746, 354, "2d26bd6204df3725"),
+    (1, 299, 120, "950d8397f3d68036"),
+    (2, 82, 56, "26dd1b30dccea772"),
+    (3, 427, 157, "e96962924d1a4d7a"),
+])
+def test_gte_clause_list_is_pinned(seed, clauses, num_vars, digest):
+    # the exact clause sequence the solver's search paths depend on
+    rng = random.Random(seed)
+    items = [(v if rng.random() < 0.5 else -v, rng.randint(1, 60))
+             for v in range(1, rng.randint(6, 16) + 1)]
+    buf = CnfBuffer(len(items))
+    gte = GeneralizedTotalizer(items, sum(w for _, w in items) // 2, buf)
+    gte.set_bound(sum(w for _, w in items) // 3, buf)
+    assert (len(buf.clauses), buf.num_vars) == (clauses, num_vars)
+    assert hashlib.sha256(repr(buf.clauses).encode()).hexdigest()[:16] == digest
 
 
 def test_cnf_buffer_dimacs():

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,19 @@ def test_tautology_and_duplicate_literals():
     st_, model = solve([[1, -1], [2, 2, 3]])
     assert st_ is Status.SAT
     assert model[2] or model[3]
+
+
+def test_long_clause_is_added_in_linear_time():
+    # scanning the clause so far for every literal takes seconds at this length
+    lits = list(range(1, 20001))
+    s = SatSolver()
+    started = time.perf_counter()
+    s.add_clause(lits + lits[::-1])
+    s.add_clause(lits + [-20000])
+    s.add_clause(iter([-1, *lits[1:], -1]))
+    assert time.perf_counter() - started < 1.0
+    assert s.arena == [20000, *lits, 20000, -1, *lits[1:]]
+    assert s.num_vars == 20000
 
 
 def test_model_total_over_isolated_vars():
@@ -286,3 +301,80 @@ def test_branching_heap_stays_bounded():
     s.solve(budget=Budget(max_conflicts=1500))
     assert s.stats["conflicts"] >= 1000
     assert peak <= 2 * n + 64
+
+
+# ----------------------------------------------------------------------
+# pinned search path and clause arena
+
+def forced_reduction_solver():
+    """A random 3-CNF near the threshold whose learned-clause limit is
+    forced low, so that reductions and arena compactions recur."""
+    rng = random.Random(2)
+    s = SatSolver(150, seed=5)
+    s._max_learnts = 20.0
+    for c in random_3cnf(rng, 150, 630):
+        s.add_clause(c)
+    return s
+
+
+def model_digest(model):
+    return hashlib.sha256(repr(sorted(model.items())).encode()).hexdigest()[:16]
+
+
+def test_search_path_is_pinned():
+    s = forced_reduction_solver()
+    got = []
+    for assumptions in ([], [1, -2, 3], [-4, 5]):
+        st_, model = s.solve(assumptions)
+        stats = {k: s.stats[k] for k in ("conflicts", "decisions", "restarts", "reductions")}
+        got.append((st_, model and model_digest(model), stats, len(s.learnts)))
+    assert got == [
+        (Status.SAT, "056aa3a978fd5efd",
+         {"conflicts": 1927, "decisions": 2403, "restarts": 5, "reductions": 14}, 543),
+        (Status.UNSAT, None,
+         {"conflicts": 2410, "decisions": 2987, "restarts": 8, "reductions": 15}, 630),
+        (Status.UNSAT, None,
+         {"conflicts": 3001, "decisions": 3696, "restarts": 11, "reductions": 16}, 706),
+    ]
+
+
+def live_clauses(s):
+    c, live = 0, []
+    while c < len(s.arena):
+        if s.arena[c] > 0:
+            live.append(c)
+        c += abs(s.arena[c]) + 1
+    return live
+
+
+def test_arena_stays_within_twice_its_live_cells():
+    s = forced_reduction_solver()
+    compactions = 0
+    compact = s._compact
+
+    def counted():
+        nonlocal compactions
+        compactions += 1
+        compact()
+
+    s._compact = counted
+    for assumptions in ([], [1, -2, 3], [-4, 5]):
+        s.solve(assumptions)
+        live = live_clauses(s)
+        assert len(s.arena) <= 2 * sum(s.arena[c] + 1 for c in live)
+        assert set(s.learnts) == set(s.cla_activity) <= set(live)
+        for c in live:  # every live clause is watched by its first two literals
+            assert c in s.watches[s.arena[c + 1]] and c in s.watches[s.arena[c + 2]]
+    assert s.stats["reductions"] >= 10 and compactions >= 2
+
+
+def test_propagations_counted_per_solve():
+    runs = []
+    for _ in range(2):
+        s = forced_reduction_solver()
+        s.solve()
+        runs.append(dict(s.stats))
+    assert runs[0] == runs[1]
+    assert set(runs[0]) == {"conflicts", "decisions", "restarts", "reductions",
+                            "propagations"}
+    assert runs[0]["propagations"] > runs[0]["decisions"] > 0

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -53,3 +55,38 @@ def test_fidelity_trend_rejects_bad_budget_before_writing(tmp_path, flag, value)
     assert r.returncode == 2 and "Traceback" not in r.stderr
     assert "error:" in r.stderr and r.stdout == ""
     assert not keep.exists()
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"),
+                                                  ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_snapshot_runs_every_benchmark_workload(tmp_path):
+    snap = load_script("bench_snapshot.py")
+    args = snap.parse_args([str(tmp_path / "bench.json")])
+    assert (args.root, args.label) == (ROOT, "snapshot")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert snap.commands(bench) == {
+        w["name"]: [sys.executable, "perfbench/run.py", "--workload", w["name"],
+                    "--seed", "1", "--seconds", str(bench["run_seconds"])]
+        for w in bench["workloads"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--root", "{tmp}"], ["{tmp}/missing/bench.json"],
+    ["{tmp}/not-a-snapshot.json"],
+])
+def test_bench_snapshot_rejects_bad_arguments_before_running(tmp_path, argv):
+    (tmp_path / "not-a-snapshot.json").write_text("[1, 2]")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if not argv[0].endswith(".json"):
+        argv.insert(0, str(tmp_path / "bench.json"))
+    r = run_script("bench_snapshot.py", *argv)
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert "error:" in r.stderr and r.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-snapshot.json"]
+    assert (tmp_path / "not-a-snapshot.json").read_text() == "[1, 2]"

@@ -174,6 +174,16 @@ def test_formula_validation():
         WcnfFormula(1, [Clause.of([2])], [])
     with pytest.raises(ValueError):
         WcnfFormula(1, [], [(Clause.of([1]), 0)])
+    for hard, soft, message in [
+        ([Clause.of([1, -3])], [(Clause.of([2]), 1)], "hard clause variable exceeds num_vars"),
+        ([Clause.of([1])], [(Clause.of([2]), 1), (Clause.of([-3, 1]), 4)],
+         "soft clause variable exceeds num_vars"),
+        ([Clause.of([1])], [(Clause.of([2]), 1), (Clause.of([-2]), 0)],
+         "soft weight must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WcnfFormula(2, hard, soft)
+        assert WcnfFormula(3, hard, [(c, 1) for c, _ in soft]).num_vars == 3
 
 
 # ----------------------------------------------------------------------
