@@ -21,7 +21,7 @@ import threading
 from pathlib import Path
 
 from . import harness, search, wcnf
-from .encodings import CnfBuffer, GeneralizedTotalizer
+from .encodings import MAX_GTE_CLAUSES, CnfBuffer, GeneralizedTotalizer
 
 EXIT_OPTIMUM = 30
 EXIT_SAT = 10
@@ -168,6 +168,12 @@ def _cmd_solve(args) -> int:
             print(f"c approx cost {model.approx_cost}", flush=True)
 
     report = search.solve(f, cfg, on_improve)
+    if args.verbosity >= 1:
+        for refused, retried in report.fallbacks:
+            then = (f"retrying at m={retried}" if retried is not None
+                    else "keeping the best model")
+            print(f"c encoding over {MAX_GTE_CLAUSES} clauses at m={refused}; {then}",
+                  flush=True)
     if report.status == search.UNSATISFIABLE:
         print("s UNSATISFIABLE", flush=True)
         return EXIT_UNSAT

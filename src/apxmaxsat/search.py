@@ -19,6 +19,17 @@ first model is found and capped at that model's value c, the first bound
 asserted. For apx-subprob's unit weights this is the Totalizer counter
 capped at the cluster's first count.
 
+No encoding grows past encodings.MAX_GTE_CLAUSES. When apx-weight's would,
+the search falls back to coarser weights, the paper's own lever: it halves
+the effective m (the distinct-weight count for m=0, at most that count
+otherwise), re-partitions, recomputes c from the current model under the
+new representatives and tries again, until the encoding fits. Where even
+m=1 does not fit, and for apx-subprob's unit-weight counters, which have no
+coarser weights, the search ends with the best model found. A search that
+fell back ends satisfiable at best, never exact: it minimized coarser
+weights than the configured ones. SearchReport records the m searched and
+each fallback.
+
 On a model whose objective value is c, "<= c" is frozen as hard clauses
 and the solver is called again assuming "<= c-1". A model found that way
 lowers c; unsatisfiability under the assumption means c is the minimum
@@ -31,8 +42,11 @@ is reported through a callback before the next solver call. One
 satcore.Budget, built from the configured wall-clock limit, conflict limit
 and stop flag, is passed to every solver call, so its conflicts are counted
 across calls; the first call that finds it exhausted returns UNKNOWN and
-ends the search with the best model so far. It is also checked once before
-the solver is loaded, so a budget already spent does not pay for loading.
+ends the search with the best model so far. The encoder polls it too while
+it builds, and a build it interrupts ends the search the same way; since
+every encoding is built after a first model, that search is satisfiable.
+It is also checked once before the solver is loaded, so a budget already
+spent does not pay for loading.
 """
 
 from __future__ import annotations
@@ -43,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import clustering, wcnf
-from .encodings import GeneralizedTotalizer
+from .encodings import EncodingInterrupted, EncodingTooLarge, GeneralizedTotalizer
 from .satcore import Budget, SatSolver, Status
 
 APX_WEIGHT = "apx-weight"
@@ -91,13 +105,19 @@ class SearchReport:
     improvement trace as (elapsed seconds, true cost) pairs with strictly
     decreasing costs. bounds holds each objective's last bound in processing
     order (None before its first model). exact says the best model is a
-    proven optimum: apx-weight searched to the end on the true weights."""
+    proven optimum: apx-weight searched to the end on the true weights.
+    clusters is the m searched, which differs from the resolved m (see
+    resolve_clusters) only after a fallback. fallbacks lists, in order, each
+    m whose encoding was over the cap with the m retried after it, None
+    where the search stopped instead."""
 
     best: wcnf.Model | None
     status: str
     trace: list[tuple[float, int]] = field(default_factory=list)
     bounds: list[int | None] = field(default_factory=list)
     exact: bool = False
+    clusters: int = 0
+    fallbacks: list[tuple[int, int | None]] = field(default_factory=list)
 
 
 def resolve_clusters(f: wcnf.WcnfFormula, clusters: int | str) -> int:
@@ -162,13 +182,16 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
         objectives = [[(relax_of[i], 1) for i in cluster]
                       for cluster in reversed(part.clusters)]
     bounds: list[int | None] = [None] * len(objectives)
-    exact = weighted and scheme.weight_m == scheme.weight
+    fallbacks: list[tuple[int, int | None]] = []
     best = _Best(f, scheme, on_improve, started)
     budget = Budget(cfg.timeout_s, cfg.max_conflicts, cfg.stop)
 
     def report(status: str) -> SearchReport:
-        return SearchReport(best.model, status, best.trace, bounds,
-                            exact=exact and status == OPTIMUM_FOR_APPROXIMATION)
+        # m and scheme are those searched, after any fallback
+        exact = (weighted and scheme.weight_m == scheme.weight
+                 and status == OPTIMUM_FOR_APPROXIMATION)
+        return SearchReport(best.model, status, best.trace, bounds, exact=exact,
+                            clusters=m, fallbacks=fallbacks)
 
     if budget.exhausted():
         return report(UNKNOWN)
@@ -193,7 +216,23 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                     solver.add_clause([-r])
                 break
             if enc is None:
-                enc = GeneralizedTotalizer(items, c, solver)
+                try:
+                    enc = GeneralizedTotalizer(items, c, solver, budget=budget)
+                except EncodingInterrupted:
+                    return report(SATISFIABLE)
+                except EncodingTooLarge:
+                    distinct = clustering.distinct_weight_count(f)
+                    refused = min(m, distinct) if m else distinct
+                    # unit-weight counters have no coarser weights to fall to
+                    if not weighted or refused == 1:
+                        fallbacks.append((refused, None))
+                        return report(SATISFIABLE)
+                    m = refused // 2
+                    fallbacks.append((refused, m))
+                    _, scheme = clustering.partition(f, m)
+                    best.scheme = scheme
+                    items = list(zip(relax_of, scheme.weight_m))
+                    continue
             enc.set_bound(c, solver)
             # with "<= c" frozen, the negated root output for sum c is "<= c-1"
             at_c = enc.sums[bisect_left(enc.sums, (c,))][1]
@@ -204,4 +243,6 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                 break
             model = found
             best.offer(model)
-    return report(OPTIMUM_FOR_APPROXIMATION)
+    # after a fallback the minimum proven is that of coarser clusters than
+    # the ones asked for
+    return report(SATISFIABLE if fallbacks else OPTIMUM_FOR_APPROXIMATION)

@@ -93,8 +93,9 @@ class WcnfFormula:
 @dataclass
 class Model:
     """A total assignment over the original variables, with its cost under
-    the original weights (true_cost) and the approximated weights
-    (approx_cost). An absent model is represented as None, cost INF_COST."""
+    the original weights (true_cost) and the approximated weights searched
+    when it was found (approx_cost). An absent model is represented as
+    None, cost INF_COST."""
 
     assignment: dict[int, bool]
     true_cost: int

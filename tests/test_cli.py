@@ -108,6 +108,24 @@ def test_verbose_comments_prefixed(e1_path):
     assert s_lines(r.stdout) == ["s SATISFIABLE"]
 
 
+def test_verbose_prints_each_fallback_to_coarser_clusters(tmp_path):
+    # 20 units with weights 2^0..2^19, paired by hard clauses; the exact
+    # GTE of the first model's cost is over the clause cap
+    n = 20
+    f = wcnf.WcnfFormula(n, [wcnf.Clause.of([2 * i + 1, 2 * i + 2]) for i in range(n // 2)],
+                         [(wcnf.Clause.of([-v]), 1 << (v - 1)) for v in range(1, n + 1)])
+    p = tmp_path / "wide.wcnf"
+    p.write_text(wcnf.serialize_wcnf(f))
+    r = run_cli("solve", str(p), "--algorithm", "apx-weight", "--clusters", "0",
+                "--verbosity", "1")
+    fallbacks = [line for line in r.stdout.splitlines() if line.startswith("c encoding")]
+    assert fallbacks[0] == "c encoding over 262144 clauses at m=20; retrying at m=10"
+    assert s_lines(r.stdout) == ["s SATISFIABLE"] and r.returncode == 10
+    quiet = run_cli("solve", str(p), "--algorithm", "apx-weight", "--clusters", "0")
+    assert quiet.stdout == "\n".join(
+        line for line in r.stdout.splitlines() if not line.startswith("c ")) + "\n"
+
+
 def test_verbose_prints_parse_warnings(tmp_path):
     p = tmp_path / "short.wcnf"
     p.write_text("p wcnf 2 5 10\n10 1 2 0\n3 -1 0\n2 -2 0\n")
@@ -214,6 +232,14 @@ def test_encode_pb_dump_semantics():
             projections.add((a[1], a[2]))
             assert 2 * a[1] + 3 * a[2] <= 3
     assert projections == {(False, False), (True, False), (False, True)}
+
+
+def test_encode_pb_over_the_cap_exit_one():
+    # weights 2^0..2^19 reach every sum below 2^20: far over the clause cap
+    weights = ",".join(str(1 << i) for i in range(20))
+    r = run_cli("encode", "pb", "--weights", weights, "--bound", "5")
+    assert_clean_error(r)
+    assert r.stdout == ""
 
 
 def test_encode_bad_args():

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from apxmaxsat.encodings import CnfBuffer, GeneralizedTotalizer, Totalizer
+from apxmaxsat import encodings
+from apxmaxsat.encodings import (CnfBuffer, EncodingInterrupted, EncodingTooLarge,
+                                 GeneralizedTotalizer, Totalizer)
+from apxmaxsat.satcore import Budget
 
 from conftest import arithmetic_models, clause_sat, projected_models
 
@@ -248,6 +251,109 @@ def test_gte_clause_list_is_pinned(seed, clauses, num_vars, digest):
     gte.set_bound(sum(w for _, w in items) // 3, buf)
     assert (len(buf.clauses), buf.num_vars) == (clauses, num_vars)
     assert hashlib.sha256(repr(buf.clauses).encode()).hexdigest()[:16] == digest
+
+
+def one_pass_gte(items, max_bound, sink):
+    """The one-pass merge-tree builder that sizing before emitting split
+    in two, kept as the reference for the clauses and variables the GTE
+    makes. Returns its root (sums, overflow)."""
+    def build(pairs):
+        if len(pairs) == 1:
+            lit, w = pairs[0]
+            return ([], lit) if w > max_bound else ([(w, lit)], None)
+        half = len(pairs) // 2
+        lsums, lover = build(pairs[:half])
+        rsums, rover = build(pairs[half:])
+        reach = {s for s, _ in lsums} | {s for s, _ in rsums}
+        need_over = lover is not None or rover is not None
+        for sa, _ in lsums:
+            for sb, _ in rsums:
+                if sa + sb > max_bound:
+                    need_over = True
+                else:
+                    reach.add(sa + sb)
+        out = {s: sink.new_var() for s in sorted(reach)}
+        over = sink.new_var() if need_over else None
+        for s, l in lsums + rsums:
+            sink.add_clause([-l, out[s]])
+        for child_over in (lover, rover):
+            if child_over is not None:
+                sink.add_clause([-child_over, over])
+        for sa, la in lsums:
+            for sb, lb in rsums:
+                t = sa + sb
+                sink.add_clause([-la, -lb, out[t] if t <= max_bound else over])
+        return [(s, out[s]) for s in sorted(reach)], over
+
+    return build([(int(l), int(w)) for l, w in items])
+
+
+def test_gte_matches_one_pass_reference_seeded_trials():
+    rng = random.Random(4242)
+    for trial in range(100):
+        weights = random_weights(rng, max_inputs=16, max_weight=60)
+        items = [(v if rng.random() < 0.5 else -v, w)
+                 for v, w in enumerate(weights, start=1)]
+        cap = rng.randint(0, sum(weights))
+        two_pass, one_pass = CnfBuffer(len(items)), CnfBuffer(len(items))
+        gte = GeneralizedTotalizer(items, cap, two_pass)
+        assert (gte.sums, gte.overflow) == one_pass_gte(items, cap, one_pass)
+        assert two_pass.clauses == one_pass.clauses
+        assert two_pass.num_vars == one_pass.num_vars
+
+
+def test_gte_cap_counts_exactly_the_clauses_emitted(monkeypatch):
+    rng = random.Random(31)
+    for trial in range(30):
+        weights = random_weights(rng, max_inputs=12, max_weight=40)
+        items = list(zip(range(1, len(weights) + 1), weights))
+        cap = rng.randint(0, sum(weights))
+        monkeypatch.undo()
+        full = CnfBuffer(len(items))
+        GeneralizedTotalizer(items, cap, full)
+        monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", len(full.clauses))
+        at_cap = CnfBuffer(len(items))
+        GeneralizedTotalizer(items, cap, at_cap)
+        assert at_cap.clauses == full.clauses
+        if full.clauses:
+            monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", len(full.clauses) - 1)
+            over = CnfBuffer(len(items))
+            with pytest.raises(EncodingTooLarge):
+                GeneralizedTotalizer(items, cap, over)
+            assert (over.num_vars, over.clauses) == (len(items), [])
+
+
+def test_gte_over_cap_leaves_sink_untouched():
+    # weights 2^0..2^19 reach every sum below 2^20, far past the cap
+    items = [(v, 1 << (v - 1)) for v in range(1, 21)]
+    buf = CnfBuffer(20)
+    with pytest.raises(EncodingTooLarge):
+        GeneralizedTotalizer(items, (1 << 20) - 1, buf)
+    assert (buf.num_vars, buf.clauses) == (20, [])
+
+
+def test_gte_build_stops_when_the_budget_runs_out():
+    items = [(v, v) for v in range(1, 13)]
+    polls = []
+    full = CnfBuffer(12)
+    gte = GeneralizedTotalizer(items, 78, full,
+                               budget=Budget(stop=lambda: polls.append(None)))
+    for last in (len(items), len(polls)):  # the first and last poll while emitting
+        seen = []
+
+        def stop():
+            seen.append(None)
+            return len(seen) >= last
+
+        buf = CnfBuffer(12)
+        with pytest.raises(EncodingInterrupted):
+            GeneralizedTotalizer(items, 78, buf, budget=Budget(stop=stop))
+        assert buf.clauses == full.clauses[:len(buf.clauses)] != full.clauses
+    # polled once per row: stopped at the last poll, only the root's last
+    # row of (sum, sum) clauses is missing
+    assert len(full.clauses) - len(buf.clauses) < len(gte.sums)
+    with pytest.raises(EncodingInterrupted):
+        GeneralizedTotalizer(items, 78, CnfBuffer(12), budget=Budget(timeout_s=0))
 
 
 def test_cnf_buffer_dimacs():

@@ -1,9 +1,10 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
 
-from apxmaxsat import clustering, harness, search, wcnf
+from apxmaxsat import clustering, encodings, harness, search, wcnf
 from apxmaxsat.satcore import Status
 from apxmaxsat.search import (APX_SUBPROB, APX_WEIGHT,
                               OPTIMUM_FOR_APPROXIMATION, SATISFIABLE,
@@ -138,12 +139,12 @@ def test_apx_subprob_counter_is_unit_gte_capped_at_first_count(monkeypatch):
 
     real = search.GeneralizedTotalizer
 
-    def spy(items, max_bound, sink):
+    def spy(items, max_bound, sink, **kw):
         items = list(items)
         first_count = sum(models[-1][r] for r, _ in items)
         built.append((cluster_of[frozenset(r for r, _ in items)],
                       [w for _, w in items], max_bound, first_count))
-        return real(items, max_bound, sink)
+        return real(items, max_bound, sink, **kw)
 
     monkeypatch.setattr(search, "SatSolver", Recording)
     monkeypatch.setattr(search, "GeneralizedTotalizer", spy)
@@ -260,6 +261,98 @@ def test_budget_mid_search_returns_best_so_far():
     if report.best is not None:
         assert report.status == SATISFIABLE
         assert report.best.true_cost == calls[0].true_cost
+
+
+def test_stop_during_encoding_ends_with_first_model(e1, monkeypatch):
+    # as a SIGTERM arriving while the GTE is built: every model of e1 pays
+    # a soft clause, so the search builds one after its first model
+    started = []
+    real = search.GeneralizedTotalizer
+
+    def gte(*args, **kw):
+        started.append(True)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(search, "GeneralizedTotalizer", gte)
+    models = []
+    report = search.solve(e1, weight_cfg(0, stop=lambda: bool(started)),
+                          on_improve=models.append)
+    assert started and report.status == SATISFIABLE and not report.exact
+    assert models == [report.best]
+
+
+# ----------------------------------------------------------------------
+# encodings over the cap
+
+def wide_weights(rng, n):
+    """n soft units -x with distinct weights up to 1e6, paired by hard
+    clauses (x_a or x_b): the exact GTE grows as 2^n."""
+    hard = [wcnf.Clause.of([2 * i + 1, 2 * i + 2]) for i in range(n // 2)]
+    soft = [(wcnf.Clause.of([-v]), w)
+            for v, w in enumerate(rng.sample(range(1, 10 ** 6 + 1), n), start=1)]
+    return wcnf.WcnfFormula(n, hard, soft)
+
+
+def three_tier(rng, n=120):
+    """Random 3-CNF of 3n clauses with n soft 2-clauses whose weights lie
+    in three tiers: 1-10, 100-200 and 1000-5000."""
+    def lits(k):
+        return [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)]
+
+    tiers = ((1, 10), (100, 200), (1000, 5000))
+    hard = [wcnf.Clause.of(lits(3)) for _ in range(3 * n)]
+    soft = [(wcnf.Clause.of(lits(2)), rng.randint(*rng.choice(tiers))) for _ in range(n)]
+    return wcnf.WcnfFormula(n, hard, soft)
+
+
+@pytest.mark.parametrize("make, timeout_s", [
+    (lambda rng: wide_weights(rng, 24), 2.0),
+    (three_tier, 3.0),
+])
+def test_over_cap_exact_search_returns_a_model_in_time(make, timeout_s):
+    f = make(seeded_rng(24))
+    started = time.monotonic()
+    report = search.solve(f, weight_cfg(0, timeout_s=timeout_s))
+    assert time.monotonic() - started <= timeout_s + 0.5
+    assert report.status == SATISFIABLE and not report.exact
+    assert report.fallbacks and report.clusters == report.fallbacks[-1][1] >= 1
+    verdict, cost = wcnf.check_model(f, report.best.assignment)
+    assert verdict == "valid" and cost == report.best.true_cost
+
+
+def test_fallback_minimizes_the_coarser_clusters(monkeypatch):
+    monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 60)
+    rng = seeded_rng(8080)
+    fitted = 0
+    for trial in range(25):
+        f = harness.random_wcnf(rng, max_vars=10, max_clauses=16)
+        report = search.solve(f, weight_cfg(0, seed=trial))
+        if not report.fallbacks:
+            assert report.status == OPTIMUM_FOR_APPROXIMATION and report.clusters == 0
+            continue
+        assert report.status == SATISFIABLE and not report.exact
+        refused = [a for a, _ in report.fallbacks]
+        retried = [b for _, b in report.fallbacks]
+        # from the distinct-weight count, halving, each retry refused next
+        assert refused[0] == clustering.distinct_weight_count(f)
+        assert retried[:-1] == refused[1:] == [a // 2 for a in refused[:-1]]
+        if retried[-1] is not None:
+            fitted += 1
+            assert retried[-1] == refused[-1] // 2 == report.clusters
+            _, scheme = clustering.partition(f, report.clusters)
+            assert report.bounds == [harness.brute_force_optimum(f, weights=scheme.weight_m)[0]]
+    assert fitted >= 5
+
+
+def test_over_cap_counter_without_coarser_lever_keeps_first_model(monkeypatch):
+    # one weight, and one of the two soft units is paid by every model
+    f = wcnf.parse_wcnf("p wcnf 2 3 10\n10 1 2 0\n3 -1 0\n3 -2 0\n")
+    monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 0)
+    for cfg in (subprob_cfg("weights"), weight_cfg(0)):
+        models = []
+        report = search.solve(f, cfg, on_improve=models.append)
+        assert report.status == SATISFIABLE and not report.exact
+        assert report.fallbacks == [(1, None)] and models == [report.best]
 
 
 # ----------------------------------------------------------------------
