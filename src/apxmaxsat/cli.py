@@ -10,6 +10,10 @@ search.SearchReport); approximated runs never claim optimality. Exit codes:
 `bench` runs configurations over a directory and prints the score table,
 `encode` dumps a bounding constraint's CNF as DIMACS, and `oracle` reports
 the brute-force optimum of a small instance.
+
+Import rule: only `bench` and `oracle` import harness (and with it numpy),
+inside their handlers, so a `solve` process loads just the layers it runs
+and reaches its first `o` line sooner.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 import threading
 from pathlib import Path
 
-from . import harness, search, wcnf
+from . import search, wcnf
 from .encodings import MAX_GTE_CLAUSES, CnfBuffer, GeneralizedTotalizer
 
 EXIT_OPTIMUM = 30
@@ -46,16 +50,17 @@ def _clusters_value(text: str):
             f"expected an integer or 'weights', got {text!r}") from None
 
 
-def _at_least_zero(parse):
-    """An argparse type for budgets: a number read by parse, >= 0."""
+def _at_least(parse, least):
+    """An argparse type for budgets and counts: a number read by parse,
+    >= least."""
     def value(text: str):
         try:
             number = parse(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected {parse.__name__}, got {text!r}") from None
-        if not number >= 0:  # also rejects nan, which no deadline ever reaches
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        if not number >= least:  # also rejects nan, which no deadline ever reaches
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text!r}")
         return number
     return value
 
@@ -73,9 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--clusters", type=_clusters_value,
                          default=search.CLUSTERS_WEIGHTS,
                          help="cluster count m, or 'weights' for m=#distinct weights")
-    p_solve.add_argument("--timeout", type=_at_least_zero(float), default=300.0,
+    p_solve.add_argument("--timeout", type=_at_least(float, 0), default=300.0,
                          help="wall-clock budget in seconds (default 300)")
-    p_solve.add_argument("--conflicts", type=_at_least_zero(int), default=None,
+    p_solve.add_argument("--conflicts", type=_at_least(int, 0), default=None,
                          help="deterministic conflict budget")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--verbosity", type=int, choices=[0, 1, 2], default=0)
@@ -86,10 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", action="append", default=[],
                          metavar="ALGORITHM:CLUSTERS",
                          help="repeatable, e.g. apx-subprob:weights or apx-weight:2")
-    p_bench.add_argument("--timeout", type=_at_least_zero(float), default=None)
-    p_bench.add_argument("--conflicts", type=_at_least_zero(int), default=None)
+    p_bench.add_argument("--timeout", type=_at_least(float, 0), default=None)
+    p_bench.add_argument("--conflicts", type=_at_least(int, 0), default=None)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--workers", type=_at_least(int, 1), default=1)
     p_bench.add_argument("--sidecar", default=None,
                          help="file of externally known best costs")
     p_bench.add_argument("--report", default=None,
@@ -200,6 +205,7 @@ def _cmd_bench(args) -> int:
     if not Path(args.directory).is_dir():
         print(f"apxmaxsat: not a directory: {args.directory}", file=sys.stderr)
         return EXIT_ERROR
+    from . import harness  # here, not at the top: solve never loads numpy
     try:
         table = harness.run_benchmarks(
             args.directory, configs, timeout_s=args.timeout,
@@ -250,6 +256,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import harness  # here, not at the top: solve never loads numpy
     f = _load_instance(args.instance)
     if f is None:
         return EXIT_ERROR

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -211,12 +212,18 @@ def fidelity_family(rng: random.Random, pairs: int = 8,
 @dataclass
 class RunRecord:
     """One search run: final cost (None when no model), status, elapsed
-    wall-clock seconds, and the improvement trace."""
+    wall-clock seconds, and the improvement trace, plus what the search
+    report says of the run (see search.SearchReport): whether it is exact,
+    the cluster count m searched, and each fallback to coarser clusters. A
+    run whose instance did not parse has clusters None."""
 
     cost: int | None
     status: str
     elapsed: float
     trace: list[tuple[float, int]]
+    exact: bool = False
+    clusters: int | None = None
+    fallbacks: list[tuple[int, int | None]] = field(default_factory=list)
 
 
 @dataclass
@@ -244,6 +251,9 @@ class ScoreTable:
                     "status": r.status,
                     "elapsed": r.elapsed,
                     "trace": [[t, c] for t, c in r.trace],
+                    "exact": r.exact,
+                    "clusters": r.clusters,
+                    "fallbacks": [[m, retried] for m, retried in r.fallbacks],
                     "score": f"{float(sc):.4f}",
                     "score_exact": [sc.numerator, sc.denominator],
                 }
@@ -279,9 +289,7 @@ def config_label(cfg: search.SearchConfig) -> str:
 
 def _run_task(args):
     path, cfg, timeout_s, max_conflicts = args
-    import time as _time
-
-    started = _time.monotonic()
+    started = time.monotonic()
     try:
         f = wcnf.parse_wcnf(Path(path).read_bytes())
     except (OSError, wcnf.WcnfParseError) as e:
@@ -290,10 +298,11 @@ def _run_task(args):
         cfg, timeout_s=timeout_s if timeout_s is not None else cfg.timeout_s,
         max_conflicts=max_conflicts if max_conflicts is not None else cfg.max_conflicts)
     report = search.solve(f, run_cfg)
-    elapsed = _time.monotonic() - started
+    elapsed = time.monotonic() - started
     best_cost = report.best.true_cost if report.best is not None else None
-    return path, config_label(cfg), RunRecord(best_cost, report.status, elapsed,
-                                              list(report.trace))
+    return path, config_label(cfg), RunRecord(
+        best_cost, report.status, elapsed, list(report.trace), report.exact,
+        report.clusters, list(report.fallbacks))
 
 
 def load_best_known(path) -> dict[str, int]:

@@ -131,7 +131,7 @@ def parse_wcnf(text) -> WcnfFormula:
                 "'h' marker is the 2022 WCNF format, which is not supported; "
                 "use old-style WDIMACS with a 'p wcnf' header",
             )
-        if toks[0][0] == "p":
+        if toks[0] == "p":
             if top is not None:
                 raise WcnfParseError(line_no, "duplicate 'p' header")
             if len(toks) != 5 or toks[1] != "wcnf":

@@ -144,6 +144,23 @@ def test_every_subcommand_has_a_handler():
         assert parser.parse_args(argv).run is getattr(cli, f"_cmd_{argv[0]}")
 
 
+def test_solve_never_loads_the_evaluation_harness(e1_path):
+    # a fresh interpreter, so only what the solve path imports is loaded;
+    # numpy would come in with harness
+    script = (
+        "import sys\n"
+        "from apxmaxsat import cli\n"
+        f"code = cli.main(['solve', {e1_path!r}, '--algorithm', 'apx-weight', "
+        "'--clusters', '0'])\n"
+        "print('c loaded', *(m for m in ('numpy', 'apxmaxsat.harness') "
+        "if m in sys.modules))\n"
+        "sys.exit(code)\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 30, r.stderr
+    assert r.stdout.splitlines()[-3:] == ["s OPTIMUM FOUND", "v -1 2", "c loaded"]
+
+
 # ----------------------------------------------------------------------
 # error handling
 
@@ -157,6 +174,10 @@ def test_bad_flags_exit_one(e1_path):
             r = run_cli(*cmd, flag, value)
             assert r.returncode == 1 and "Traceback" not in r.stderr
             assert f"error: argument {flag}" in r.stderr
+    for workers in ("0", "-3"):
+        r = run_cli("bench", os.path.dirname(e1_path), "--workers", workers)
+        assert r.returncode == 1 and "Traceback" not in r.stderr
+        assert f"error: argument --workers: must be >= 1, got '{workers}'" in r.stderr
     assert_clean_error(run_cli("solve", e1_path, "--algorithm", "apx-subprob",
                                "--clusters", "0"))
 

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from apxmaxsat import harness, search, wcnf
+from apxmaxsat import encodings, harness, search, wcnf
 from apxmaxsat.harness import (brute_force_optimum, load_best_known,
                                run_benchmarks, score, write_report)
 from apxmaxsat.search import SearchConfig
@@ -228,8 +229,34 @@ def test_report_json_and_table(tmp_path):
     assert rec["cost"] == 2 and rec["score"] == "1.0000"
     assert rec["trace"][-1][1] == 2
     assert data["averages"]["apx-weight/m=0"]["score_exact"] == [1, 1]
+    assert (rec["exact"], rec["clusters"], rec["fallbacks"]) == (True, 0, [])
     text = table.table_text()
     assert "avg-score" in text and "apx-subprob/m=weights" in text
+
+
+def test_report_says_which_runs_fell_back_to_coarser_clusters(tmp_path, monkeypatch):
+    # a row that fell back must not read like one searched at its configured m
+    monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 60)
+    rng = seeded_rng(8080)
+    formulas = {f"r{i}.wcnf": harness.random_wcnf(rng, max_vars=10, max_clauses=16)
+                for i in range(6)}
+    d = write_suite(tmp_path, {name: wcnf.serialize_wcnf(f)
+                               for name, f in formulas.items()})
+    configs = both_configs()
+    write_report(run_benchmarks(d, configs, max_conflicts=100000), tmp_path / "r.json")
+    data = json.loads((tmp_path / "r.json").read_text())["instances"]
+    fell_back = 0
+    for name, f in formulas.items():
+        for cfg in configs:
+            rec = data[str(d / name)]["results"][harness.config_label(cfg)]
+            report = search.solve(f, replace(cfg, max_conflicts=100000))
+            assert (rec["exact"], rec["clusters"], rec["fallbacks"]) == (
+                report.exact, report.clusters, [list(fb) for fb in report.fallbacks])
+            if rec["fallbacks"]:
+                fell_back += 1
+                assert rec["status"] == search.SATISFIABLE and not rec["exact"]
+                assert rec["clusters"] == rec["fallbacks"][-1][1] < len(set(f.soft_weights))
+    assert 0 < fell_back < len(formulas) * len(configs)
 
 
 def test_random_wcnf_family_properties():

@@ -34,6 +34,8 @@ def test_parse_weight_above_top_rejected():
 @pytest.mark.parametrize("text,frag", [
     ("p wcnf 1 1\n5 1 0\n", "header"),
     ("p cnf 1 1 5\n5 1 0\n", "header"),
+    ("px wcnf 1 1 5\n5 1 0\n", "before"),
+    ("pwcnf wcnf 1 1 5\n5 1 0\n", "before"),
     ("p wcnf a 1 5\n5 1 0\n", "non-integer"),
     ("p wcnf 1 1 5\n0 1 0\n", "positive"),
     ("p wcnf 1 1 5\n-2 1 0\n", "positive"),
