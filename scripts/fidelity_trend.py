@@ -38,7 +38,9 @@ def main():
     def grid(text):
         return [m if m == "weights" else int(m) for m in text.split(",") if m]
 
-    try:  # refuse a bad budget or grid before any instance is written
+    try:  # refuse a bad count, budget or grid before any instance is written
+        if args.instances < 1:
+            raise ValueError(f"--instances must be >= 1, got {args.instances}")
         Budget(args.timeout, args.conflicts)
         configs = [SearchConfig(algorithm=APX_WEIGHT, clusters=m)
                    for m in grid(args.weight_grid)]

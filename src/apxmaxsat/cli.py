@@ -211,7 +211,7 @@ def _cmd_bench(args) -> int:
             args.directory, configs, timeout_s=args.timeout,
             max_conflicts=args.conflicts, workers=args.workers,
             sidecar=args.sidecar)
-    except (OSError, ValueError) as e:  # bad sidecar or duplicate configs
+    except (OSError, ValueError) as e:  # bad sidecar, duplicate configs, no instance
         print(f"apxmaxsat: {e}", file=sys.stderr)
         return EXIT_ERROR
     print(table.table_text(), end="")
@@ -229,6 +229,9 @@ def _cmd_encode(args) -> int:
     if args.kind == "card":
         if args.inputs is None or args.inputs < 1:
             print("apxmaxsat: card needs --inputs N (N >= 1)", file=sys.stderr)
+            return EXIT_ERROR
+        if args.inputs > MAX_GTE_CLAUSES:  # N > 1 inputs take at least N clauses
+            print(f"apxmaxsat: encoding over {MAX_GTE_CLAUSES} clauses", file=sys.stderr)
             return EXIT_ERROR
         weights = [1] * args.inputs
         cap = args.inputs

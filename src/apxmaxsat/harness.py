@@ -8,7 +8,9 @@
 * run_benchmarks: runs a set of search configurations over a directory of
   WDIMACS instances, tracks the virtual best per instance (optionally
   merged with a sidecar file of externally known costs), and produces a
-  machine-readable report plus a plain-text table.
+  machine-readable report plus a plain-text table. Its rows are the
+  searches' own reports (search.SearchReport) without their models, so a
+  report row carries every field a search reports.
 * random_wcnf / random_bmo_wcnf / fidelity_family: seeded instance
   generators for tests and desk-scale experiments.
 """
@@ -17,9 +19,8 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -210,32 +211,17 @@ def fidelity_family(rng: random.Random, pairs: int = 8,
 
 
 @dataclass
-class RunRecord:
-    """One search run: final cost (None when no model), status, elapsed
-    wall-clock seconds, and the improvement trace, plus what the search
-    report says of the run (see search.SearchReport): whether it is exact,
-    the cluster count m searched, and each fallback to coarser clusters. A
-    run whose instance did not parse has clusters None."""
-
-    cost: int | None
-    status: str
-    elapsed: float
-    trace: list[tuple[float, int]]
-    exact: bool = False
-    clusters: int | None = None
-    fallbacks: list[tuple[int, int | None]] = field(default_factory=list)
-
-
-@dataclass
 class ScoreTable:
-    """Per-instance costs and scores for every configuration, plus the
-    virtual best (lowest cost seen by any configuration, merged with any
-    sidecar values) and per-configuration average scores."""
+    """Per-instance search reports (without their models) and scores for
+    every configuration, plus the virtual best (lowest cost seen by any
+    configuration, merged with any sidecar values) and per-configuration
+    average scores. An instance that did not parse has, for every
+    configuration, a report whose status starts with "parse_error:"."""
 
     instances: list[str]
     configs: list[str]
     best_known: dict[str, int | None]
-    records: dict[str, dict[str, RunRecord]]
+    records: dict[str, dict[str, search.SearchReport]]
     scores: dict[str, dict[str, Fraction]]
     averages: dict[str, Fraction]
 
@@ -246,17 +232,10 @@ class ScoreTable:
             for label in self.configs:
                 r = self.records[path][label]
                 sc = self.scores[path][label]
-                recs[label] = {
-                    "cost": r.cost,
-                    "status": r.status,
-                    "elapsed": r.elapsed,
-                    "trace": [[t, c] for t, c in r.trace],
-                    "exact": r.exact,
-                    "clusters": r.clusters,
-                    "fallbacks": [[m, retried] for m, retried in r.fallbacks],
-                    "score": f"{float(sc):.4f}",
-                    "score_exact": [sc.numerator, sc.denominator],
-                }
+                row = asdict(r)
+                del row["best"]
+                recs[label] = {"cost": r.cost, **row, "score": f"{float(sc):.4f}",
+                               "score_exact": [sc.numerator, sc.denominator]}
             out["instances"][path] = {
                 "best_known": self.best_known[path],
                 "results": recs,
@@ -288,21 +267,13 @@ def config_label(cfg: search.SearchConfig) -> str:
 
 
 def _run_task(args):
-    path, cfg, timeout_s, max_conflicts = args
-    started = time.monotonic()
+    path, cfg = args
     try:
         f = wcnf.parse_wcnf(Path(path).read_bytes())
     except (OSError, wcnf.WcnfParseError) as e:
-        return path, config_label(cfg), RunRecord(None, f"parse_error: {e}", 0.0, [])
-    run_cfg = replace(
-        cfg, timeout_s=timeout_s if timeout_s is not None else cfg.timeout_s,
-        max_conflicts=max_conflicts if max_conflicts is not None else cfg.max_conflicts)
-    report = search.solve(f, run_cfg)
-    elapsed = time.monotonic() - started
-    best_cost = report.best.true_cost if report.best is not None else None
-    return path, config_label(cfg), RunRecord(
-        best_cost, report.status, elapsed, list(report.trace), report.exact,
-        report.clusters, list(report.fallbacks))
+        return path, config_label(cfg), search.SearchReport(None, f"parse_error: {e}")
+    # the model is dropped: a suite's rows stay as small as their traces
+    return path, config_label(cfg), replace(search.solve(f, cfg), best=None)
 
 
 def load_best_known(path) -> dict[str, int]:
@@ -333,24 +304,28 @@ def run_benchmarks(directory, configs, timeout_s: float | None = None,
 
     Unreadable or malformed instances are recorded as parse failures and
     score 0 for every configuration; the run continues. The sidecar, when
-    given, merges externally known costs into the virtual best.
+    given, merges externally known costs into the virtual best. A directory
+    without any `*.wcnf` file raises ValueError.
     """
     paths = sorted(str(p) for p in Path(directory).glob("*.wcnf"))
+    if not paths:
+        raise ValueError(f"no *.wcnf instances in {directory}")
     labels = [config_label(c) for c in configs]
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate configuration labels")
     sidecar_best = load_best_known(sidecar) if sidecar is not None else {}
-    tasks = [(p, c, timeout_s, max_conflicts) for p in paths for c in configs]
-    results = {}
+    configs = [replace(c, timeout_s=c.timeout_s if timeout_s is None else timeout_s,
+                       max_conflicts=(c.max_conflicts if max_conflicts is None
+                                      else max_conflicts))
+               for c in configs]
+    tasks = [(p, c) for p in paths for c in configs]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for path, label, rec in pool.map(_run_task, tasks):
-                results[(path, label)] = rec
+            done = list(pool.map(_run_task, tasks))
     else:
-        for task in tasks:
-            path, label, rec = _run_task(task)
-            results[(path, label)] = rec
-    records: dict[str, dict[str, RunRecord]] = {}
+        done = map(_run_task, tasks)
+    results = {(path, label): rec for path, label, rec in done}
+    records: dict[str, dict[str, search.SearchReport]] = {}
     best_known: dict[str, int | None] = {}
     scores: dict[str, dict[str, Fraction]] = {}
     for path in paths:
@@ -366,13 +341,8 @@ def run_benchmarks(directory, configs, timeout_s: float | None = None,
         for label in labels:
             found = records[path][label].cost
             scores[path][label] = score(best, found) if best is not None else Fraction(0)
-    averages = {}
-    for label in labels:
-        if paths:
-            averages[label] = sum(
-                (scores[p][label] for p in paths), Fraction(0)) / len(paths)
-        else:
-            averages[label] = Fraction(0)
+    averages = {label: sum((scores[p][label] for p in paths), Fraction(0)) / len(paths)
+                for label in labels}
     return ScoreTable(paths, labels, best_known, records, scores, averages)
 
 

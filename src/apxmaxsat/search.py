@@ -37,16 +37,17 @@ given every earlier objective's frozen bound, and the search moves on to
 the next objective, starting from the last model. Nothing is rebuilt
 between objectives, so learned clauses carry over.
 
-The best model seen by true cost is recorded, and every strict improvement
-is reported through a callback before the next solver call. One
-satcore.Budget, built from the configured wall-clock limit, conflict limit
-and stop flag, is passed to every solver call, so its conflicts are counted
-across calls; the first call that finds it exhausted returns UNKNOWN and
-ends the search with the best model so far. The encoder polls it too while
-it builds, and a build it interrupts ends the search the same way; since
-every encoding is built after a first model, that search is satisfiable.
-It is also checked once before the solver is loaded, so a budget already
-spent does not pay for loading.
+The search fills one SearchReport as it goes: the best model seen by true
+cost is recorded in it, and every strict improvement is reported through a
+callback before the next solver call. One satcore.Budget, built from the
+configured wall-clock limit, conflict limit and stop flag, is passed to
+every solver call, so its conflicts are counted across calls; the first
+call that finds it exhausted returns UNKNOWN and ends the search with the
+best model so far. The encoder polls it too while it builds, and a build it
+interrupts ends the search the same way; since every encoding is built
+after a first model, that search is satisfiable. It is also checked once
+before the solver is loaded, so a budget already spent does not pay for
+loading.
 """
 
 from __future__ import annotations
@@ -101,23 +102,32 @@ class SearchConfig:
 
 @dataclass
 class SearchReport:
-    """Outcome of one search: best model (or None), a status, and the
-    improvement trace as (elapsed seconds, true cost) pairs with strictly
-    decreasing costs. bounds holds each objective's last bound in processing
-    order (None before its first model). exact says the best model is a
-    proven optimum: apx-weight searched to the end on the true weights.
-    clusters is the m searched, which differs from the resolved m (see
-    resolve_clusters) only after a fallback. fallbacks lists, in order, each
-    m whose encoding was over the cap with the m retried after it, None
-    where the search stopped instead."""
+    """Outcome of one search, filled in as the search runs: best model (or
+    None), a status, elapsed wall-clock seconds of the whole search, and the
+    improvement trace as (seconds since the search started, true cost) pairs
+    with strictly decreasing costs. cost reads the trace's last cost, so it
+    stays right on a report whose model was dropped. bounds holds each
+    objective's last bound in processing order (None before its first
+    model). exact says the best model is a proven optimum: apx-weight
+    searched to the end on the true weights. clusters is the m searched,
+    which differs from the resolved m (see resolve_clusters) only after a
+    fallback, and None on a report no search filled. fallbacks lists, in
+    order, each m whose encoding was over the cap with the m retried after
+    it, None where the search stopped instead."""
 
     best: wcnf.Model | None
     status: str
+    elapsed: float = 0.0
     trace: list[tuple[float, int]] = field(default_factory=list)
     bounds: list[int | None] = field(default_factory=list)
     exact: bool = False
-    clusters: int = 0
+    clusters: int | None = None
     fallbacks: list[tuple[int, int | None]] = field(default_factory=list)
+
+    @property
+    def cost(self) -> int | None:
+        """True cost of the best model, None when there is none."""
+        return self.trace[-1][1] if self.trace else None
 
 
 def resolve_clusters(f: wcnf.WcnfFormula, clusters: int | str) -> int:
@@ -134,31 +144,6 @@ def check_hard(f: wcnf.WcnfFormula, timeout_s: float | None = None,
     for c in f.hard:
         solver.add_clause(c.lits)
     return solver.solve(budget=Budget(timeout_s, max_conflicts))
-
-
-class _Best:
-    """Best-model bookkeeping: update on strictly decreasing true cost,
-    fire the improvement callback, and keep the trace."""
-
-    def __init__(self, f, scheme, on_improve, started):
-        self.f = f
-        self.scheme = scheme
-        self.on_improve = on_improve
-        self.started = started
-        self.model: wcnf.Model | None = None
-        self.cost = wcnf.INF_COST
-        self.trace: list[tuple[float, int]] = []
-
-    def offer(self, full_assignment) -> None:
-        assign = {v: full_assignment[v] for v in range(1, self.f.num_vars + 1)}
-        tc = wcnf.cost(self.f, assign)
-        if tc < self.cost:
-            ac = wcnf.cost(self.f, assign, weights=self.scheme.weight_m)
-            self.cost = tc
-            self.model = wcnf.Model(assign, tc, ac)
-            self.trace.append((time.monotonic() - self.started, tc))
-            if self.on_improve is not None:
-                self.on_improve(self.model)
 
 
 def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchReport:
@@ -181,20 +166,32 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
     else:  # clusters ascend in weight, so their representatives do too
         objectives = [[(relax_of[i], 1) for i in cluster]
                       for cluster in reversed(part.clusters)]
-    bounds: list[int | None] = [None] * len(objectives)
-    fallbacks: list[tuple[int, int | None]] = []
-    best = _Best(f, scheme, on_improve, started)
+    report = SearchReport(None, UNKNOWN, bounds=[None] * len(objectives))
     budget = Budget(cfg.timeout_s, cfg.max_conflicts, cfg.stop)
 
-    def report(status: str) -> SearchReport:
+    def offer(full_assignment) -> None:
+        # keep a model of strictly lower true cost, priced under the
+        # approximated weights searched now
+        assign = {v: full_assignment[v] for v in range(1, f.num_vars + 1)}
+        tc = wcnf.cost(f, assign)
+        if report.best is None or tc < report.best.true_cost:
+            ac = wcnf.cost(f, assign, weights=scheme.weight_m)
+            report.best = wcnf.Model(assign, tc, ac)
+            report.trace.append((time.monotonic() - started, tc))
+            if on_improve is not None:
+                on_improve(report.best)
+
+    def finish(status: str) -> SearchReport:
         # m and scheme are those searched, after any fallback
-        exact = (weighted and scheme.weight_m == scheme.weight
-                 and status == OPTIMUM_FOR_APPROXIMATION)
-        return SearchReport(best.model, status, best.trace, bounds, exact=exact,
-                            clusters=m, fallbacks=fallbacks)
+        report.status = status
+        report.clusters = m
+        report.exact = (weighted and scheme.weight_m == scheme.weight
+                        and status == OPTIMUM_FOR_APPROXIMATION)
+        report.elapsed = time.monotonic() - started
+        return report
 
     if budget.exhausted():
-        return report(UNKNOWN)
+        return finish(UNKNOWN)
     solver = SatSolver(f.num_vars + len(relax_of), seed=cfg.seed)
     for clause in f.hard:
         solver.add_clause(clause.lits)
@@ -202,15 +199,15 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
         solver.add_clause(clause.lits + (r,))
     st, model = solver.solve(budget=budget)
     if st is Status.UNSAT:
-        return report(UNSATISFIABLE)
+        return finish(UNSATISFIABLE)
     if st is Status.UNKNOWN:
-        return report(UNKNOWN)
-    best.offer(model)
+        return finish(UNKNOWN)
+    offer(model)
     for j, items in enumerate(objectives):
         enc = None
         while True:
             c = sum(w for r, w in items if model[r])
-            bounds[j] = c
+            report.bounds[j] = c
             if c == 0:
                 for r, _ in items:
                     solver.add_clause([-r])
@@ -219,18 +216,17 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                 try:
                     enc = GeneralizedTotalizer(items, c, solver, budget=budget)
                 except EncodingInterrupted:
-                    return report(SATISFIABLE)
+                    return finish(SATISFIABLE)
                 except EncodingTooLarge:
                     distinct = clustering.distinct_weight_count(f)
                     refused = min(m, distinct) if m else distinct
                     # unit-weight counters have no coarser weights to fall to
                     if not weighted or refused == 1:
-                        fallbacks.append((refused, None))
-                        return report(SATISFIABLE)
+                        report.fallbacks.append((refused, None))
+                        return finish(SATISFIABLE)
                     m = refused // 2
-                    fallbacks.append((refused, m))
+                    report.fallbacks.append((refused, m))
                     _, scheme = clustering.partition(f, m)
-                    best.scheme = scheme
                     items = list(zip(relax_of, scheme.weight_m))
                     continue
             enc.set_bound(c, solver)
@@ -238,11 +234,11 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
             at_c = enc.sums[bisect_left(enc.sums, (c,))][1]
             st, found = solver.solve([-at_c], budget)
             if st is Status.UNKNOWN:
-                return report(SATISFIABLE)  # best holds the first model at least
+                return finish(SATISFIABLE)  # best holds the first model at least
             if st is Status.UNSAT:
                 break
             model = found
-            best.offer(model)
+            offer(model)
     # after a fallback the minimum proven is that of coarser clusters than
     # the ones asked for
-    return report(SATISFIABLE if fallbacks else OPTIMUM_FOR_APPROXIMATION)
+    return finish(SATISFIABLE if report.fallbacks else OPTIMUM_FOR_APPROXIMATION)

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
-INF_COST = float("inf")  # cost of the empty (absent) model
-
 
 class WcnfParseError(ValueError):
     """Malformed WDIMACS input; carries the offending 1-based line number."""
@@ -94,8 +92,7 @@ class WcnfFormula:
 class Model:
     """A total assignment over the original variables, with its cost under
     the original weights (true_cost) and the approximated weights searched
-    when it was found (approx_cost). An absent model is represented as
-    None, cost INF_COST."""
+    when it was found (approx_cost)."""
 
     assignment: dict[int, bool]
     true_cost: int

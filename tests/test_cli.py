@@ -261,6 +261,13 @@ def test_encode_pb_over_the_cap_exit_one():
     r = run_cli("encode", "pb", "--weights", weights, "--bound", "5")
     assert_clean_error(r)
     assert r.stdout == ""
+    # a counter over N > 1 inputs takes at least N clauses: refused before
+    # anything of size N is built
+    for n in (cli.MAX_GTE_CLAUSES + 1, 10 ** 12):
+        r = run_cli("encode", "card", "--inputs", str(n), "--bound", "5")
+        assert_clean_error(r)
+        assert f"encoding over {cli.MAX_GTE_CLAUSES} clauses" in r.stderr
+        assert r.stdout == ""
 
 
 def test_encode_bad_args():
@@ -298,6 +305,14 @@ def test_bench_subcommand(tmp_path):
     data = json.loads(report.read_text())
     assert data["averages"]["apx-weight/m=0"]["score"] == "1.0000"
     assert run_cli("bench", str(tmp_path / "nodir")).returncode == 1
+    # a suite with no instance is an error, not a table of zero scores
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "a.wcnf.gz").write_bytes(b"")  # only *.wcnf files are instances
+    r = run_cli("bench", str(empty))
+    assert_clean_error(r)
+    assert f"apxmaxsat: no *.wcnf instances in {empty}" in r.stderr
+    assert r.stdout == ""
     assert run_cli("bench", str(suite), "--config", "zig:1").returncode == 1
 
 

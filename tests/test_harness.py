@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -118,6 +118,11 @@ def test_run_benchmarks_basic(tmp_path):
             assert table.scores[path][label] <= 1
 
 
+def test_run_benchmarks_refuses_a_suite_without_instances(tmp_path):
+    with pytest.raises(ValueError, match=f"no \\*.wcnf instances in {tmp_path}"):
+        run_benchmarks(tmp_path, both_configs())
+
+
 def test_run_benchmarks_unsolved_instance_scores_zero(tmp_path):
     d = write_suite(tmp_path, {
         "a.wcnf": E1_TEXT, "b.wcnf": SECOND_TEXT,
@@ -210,11 +215,27 @@ def test_adding_config_never_raises_existing_scores(tmp_path):
     assert t_full.averages[label] <= t_small.averages[label]
 
 
+def untimed_rows(table):
+    """Every report row of a table's JSON, without its times."""
+    rows = {}
+    for path, rec in table.to_json_dict()["instances"].items():
+        for label, row in rec["results"].items():
+            del row["elapsed"]
+            row["trace"] = [c for _, c in row["trace"]]
+            rows[path, label] = row
+    return rows
+
+
 def test_run_benchmarks_parallel_matches_serial(tmp_path):
-    d = write_suite(tmp_path, {"a.wcnf": E1_TEXT, "b.wcnf": SECOND_TEXT})
+    d = write_suite(tmp_path, {"a.wcnf": E1_TEXT, "b.wcnf": SECOND_TEXT,
+                               "bad.wcnf": "p wcnf zz\n"})
     t1 = run_benchmarks(d, both_configs(), max_conflicts=10000, workers=1)
     t2 = run_benchmarks(d, both_configs(), max_conflicts=10000, workers=2)
     assert t1.scores == t2.scores
+    assert untimed_rows(t1) == untimed_rows(t2)
+    for table in (t1, t2):  # no row holds a model
+        assert all(r.best is None for recs in table.records.values()
+                   for r in recs.values())
 
 
 def test_report_json_and_table(tmp_path):
@@ -250,8 +271,15 @@ def test_report_says_which_runs_fell_back_to_coarser_clusters(tmp_path, monkeypa
         for cfg in configs:
             rec = data[str(d / name)]["results"][harness.config_label(cfg)]
             report = search.solve(f, replace(cfg, max_conflicts=100000))
-            assert (rec["exact"], rec["clusters"], rec["fallbacks"]) == (
-                report.exact, report.clusters, [list(fb) for fb in report.fallbacks])
+            # the row is the report without its model, times aside
+            want = json.loads(json.dumps(asdict(replace(report, best=None))))
+            del want["best"], want["elapsed"]
+            trace = want.pop("trace")
+            assert set(rec) == set(want) | {"cost", "elapsed", "trace", "score",
+                                            "score_exact"}
+            assert {k: rec[k] for k in want} == want
+            assert [c for _, c in rec["trace"]] == [c for _, c in trace]
+            assert rec["cost"] == report.best.true_cost
             if rec["fallbacks"]:
                 fell_back += 1
                 assert rec["status"] == search.SATISFIABLE and not rec["exact"]

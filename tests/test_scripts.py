@@ -47,7 +47,8 @@ def test_fidelity_trend_prints_table_and_cleans_up(tmp_path):
     assert list(scratch.iterdir()) == []  # the instance directory is removed
 
 
-@pytest.mark.parametrize("flag, value", [("--timeout", "nan"), ("--conflicts", "-1")])
+@pytest.mark.parametrize("flag, value", [("--timeout", "nan"), ("--conflicts", "-1"),
+                                         ("--instances", "0"), ("--instances", "-2")])
 def test_fidelity_trend_rejects_bad_budget_before_writing(tmp_path, flag, value):
     keep = tmp_path / "instances"
     r = run_script("fidelity_trend.py", "--instances", "2", "--keep", str(keep),

@@ -62,6 +62,21 @@ def test_improvement_callback_order(e1):
     assert seen[-1].true_cost == report.best.true_cost
 
 
+def test_report_cost_and_elapsed_follow_the_trace(hard_unsat):
+    rng = seeded_rng(4242)
+    for trial in range(10):
+        f = harness.random_wcnf(rng)
+        for cfg in (weight_cfg(2, seed=trial), subprob_cfg("weights", seed=trial)):
+            report = search.solve(f, cfg)
+            assert report.cost == report.best.true_cost
+            assert report.trace[-1][0] <= report.elapsed
+            # read from the trace, so a report whose model is dropped keeps it
+            assert replace(report, best=None).cost == report.cost
+    report = search.solve(hard_unsat, weight_cfg(0))
+    assert report.cost is None and 0 <= report.elapsed
+    assert search.SearchReport(None, UNKNOWN).clusters is None  # no search ran
+
+
 # ----------------------------------------------------------------------
 # apx-subprob on the worked instances
 
@@ -322,11 +337,32 @@ def test_over_cap_exact_search_returns_a_model_in_time(make, timeout_s):
 
 def test_fallback_minimizes_the_coarser_clusters(monkeypatch):
     monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 60)
+    partition = clustering.partition
+    schemes = []  # every weight scheme the search partitions, in order
+
+    def spy(f, m):
+        part, scheme = partition(f, m)
+        schemes.append(scheme)
+        return part, scheme
+
+    monkeypatch.setattr(clustering, "partition", spy)
     rng = seeded_rng(8080)
     fitted = 0
+    priced_after_fallback = 0
     for trial in range(25):
         f = harness.random_wcnf(rng, max_vars=10, max_clauses=16)
-        report = search.solve(f, weight_cfg(0, seed=trial))
+        found = []  # each improving model with the scheme searched when found
+        report = search.solve(f, weight_cfg(0, seed=trial),
+                              on_improve=lambda x: found.append((x, schemes[-1])))
+        searched = partition(f, report.clusters)[1]
+        assert schemes[-1].weight_m == searched.weight_m
+        for model, scheme in found:
+            assert model.approx_cost == wcnf.cost(f, model.assignment,
+                                                  weights=scheme.weight_m)
+        if found[-1][1] is schemes[-1]:  # best found under the searched scheme
+            assert report.best.approx_cost == wcnf.cost(
+                f, report.best.assignment, weights=searched.weight_m)
+            priced_after_fallback += bool(report.fallbacks)
         if not report.fallbacks:
             assert report.status == OPTIMUM_FOR_APPROXIMATION and report.clusters == 0
             continue
@@ -339,9 +375,9 @@ def test_fallback_minimizes_the_coarser_clusters(monkeypatch):
         if retried[-1] is not None:
             fitted += 1
             assert retried[-1] == refused[-1] // 2 == report.clusters
-            _, scheme = clustering.partition(f, report.clusters)
-            assert report.bounds == [harness.brute_force_optimum(f, weights=scheme.weight_m)[0]]
-    assert fitted >= 5
+            assert report.bounds == [
+                harness.brute_force_optimum(f, weights=searched.weight_m)[0]]
+    assert fitted >= 5 and priced_after_fallback >= 3
 
 
 def test_over_cap_counter_without_coarser_lever_keeps_first_model(monkeypatch):
