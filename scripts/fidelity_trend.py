@@ -48,6 +48,9 @@ def main():
                     for m in grid(args.subprob_grid)]
     except ValueError as e:
         parser.error(str(e))
+    # the sweep scores every *.wcnf in the directory, so it must hold only ours
+    if args.keep and next(Path(args.keep).glob("*.wcnf"), None) is not None:
+        parser.error(f"--keep {args.keep} already holds *.wcnf instances")
 
     with tempfile.TemporaryDirectory() as tmp:  # removed on exit; --keep is not
         directory = Path(args.keep or tmp)

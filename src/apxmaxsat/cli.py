@@ -32,6 +32,7 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_UNKNOWN = 0
 EXIT_ERROR = 1
+_SOLVER_STATS = ("conflicts", "decisions", "propagations", "restarts", "reductions")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,6 +180,9 @@ def _cmd_solve(args) -> int:
                     else "keeping the best model")
             print(f"c encoding over {MAX_GTE_CLAUSES} clauses at m={refused}; {then}",
                   flush=True)
+        if report.solver_stats:
+            print("c solver " + " ".join(
+                f"{k}={report.solver_stats[k]}" for k in _SOLVER_STATS), flush=True)
     if report.status == search.UNSATISFIABLE:
         print("s UNSATISFIABLE", flush=True)
         return EXIT_UNSAT

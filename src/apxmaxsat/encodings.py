@@ -23,6 +23,15 @@ Totalizer is the GTE's unit-weight case capped at the input count: one
 root output o_j per count j, the unary cardinality counter, so asserting
 the negation of o_{k+1}..o_n enforces "at most k inputs true".
 
+Every output and overflow variable the GTE creates is made with
+new_var(decision=False): the inputs determine the outputs, so a solver
+never branches on them. Each clause above has exactly one positive literal
+over the created variables (the output or overflow it implies), and each
+bound clause has none, which is the contract under which satcore.SatSolver
+reads an unset non-decision variable as False and still returns a model of
+every clause. A sink that does not branch, such as CnfBuffer, ignores the
+flag.
+
 Bounds support incremental tightening only: they may decrease but never
 relax, matching a linear search that only ever shrinks its target. An
 encoding is tied to the solver (or clause sink) it was built into.
@@ -58,7 +67,7 @@ class CnfBuffer:
         self.num_vars = num_vars
         self.clauses: list[tuple[int, ...]] = []
 
-    def new_var(self) -> int:
+    def new_var(self, decision: bool = True) -> int:
         self.num_vars += 1
         return self.num_vars
 
@@ -138,8 +147,8 @@ class GeneralizedTotalizer:
         lsums, lover = self._emit(pairs[:half], left, sink, budget)
         rsums, rover = self._emit(pairs[half:], right, sink, budget)
         _poll(budget)
-        out = {s: sink.new_var() for s in sums}
-        over = sink.new_var() if need_over else None
+        out = {s: sink.new_var(decision=False) for s in sums}
+        over = sink.new_var(decision=False) if need_over else None
         # each child output is negated once, so every clause that holds it
         # shares one int object
         lneg = [(s, -l) for s, l in lsums]

@@ -24,6 +24,18 @@ solver stays usable, so a bound tried as an assumption is retracted simply
 by not assuming it again. Learned clauses never depend on assumptions and
 are kept across calls.
 
+Only decision variables are branched on. A variable made with
+new_var(decision=False) never enters the branching heap: propagation alone
+assigns it, and at SAT one it left unassigned reads False in the model
+(MiniSat's decision flag). That model satisfies every clause as long as no
+clause holds more than one positive literal over non-decision variables:
+at a propagation fixpoint with every decision variable assigned, a clause
+not yet satisfied has at least two unassigned literals, all over
+non-decision variables, so at least one of them is negative and reading
+False satisfies it. Learned clauses follow from the clauses added, so the
+model satisfies them too; UNSAT answers do not depend on branching at all.
+Encoder outputs meet this contract (see encodings).
+
 A solve call may take a Budget, which it charges with its conflicts and
 polls on entry, after every conflict and every 1024 decisions; exhaustion
 yields UNKNOWN. A fixed seed makes runs reproducible; the seed only feeds
@@ -111,6 +123,7 @@ class SatSolver:
         self.reason: list[int | None] = [None]
         self.phase = [False]    # saved polarity; default false
         self.activity = [0.0]
+        self.decision = [False]  # branched on; see new_var
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -129,7 +142,12 @@ class SatSolver:
     # ------------------------------------------------------------------
     # variables and clauses
 
-    def new_var(self) -> int:
+    def new_var(self, decision: bool = True) -> int:
+        """Add a variable and return it. A non-decision variable is never
+        branched on: it is set only by propagation (or an assumption) and
+        reads False in a SAT model where nothing set it. Make one only if no
+        clause holds more than one positive literal over non-decision
+        variables; otherwise a SAT model may falsify a clause."""
         self.num_vars += 1
         v = self.num_vars
         if v > self._cap:
@@ -141,7 +159,9 @@ class SatSolver:
         self.reason.append(None)
         self.phase.append(False)
         self.activity.append(0.0)
-        heappush(self._heap, (-0.0, v))
+        self.decision.append(decision)
+        if decision:
+            heappush(self._heap, (-0.0, v))
         return v
 
     def _grow(self, cap: int) -> None:
@@ -228,12 +248,14 @@ class SatSolver:
         heap = self._heap
         act = self.activity
         value = self.value
+        decision = self.decision
         for i in range(len(self.trail) - 1, lim - 1, -1):
             v = abs(self.trail[i])
             self.phase[v] = value[v] == 1
             value[v] = value[-v] = 0
             self.reason[v] = None
-            heappush(heap, (-act[v], v))
+            if decision[v]:
+                heappush(heap, (-act[v], v))
         del self.trail[lim:]
         del self.trail_lim[target:]
         self.qhead = min(self.qhead, lim)
@@ -297,6 +319,8 @@ class SatSolver:
     # conflict analysis (first UIP)
 
     def _bump_var(self, v: int) -> None:
+        if not self.decision[v]:
+            return  # never branched on, so its activity is never read
         act = self.activity[v] + self.var_inc
         self.activity[v] = act
         if act > _RESCALE_LIMIT:
@@ -311,9 +335,10 @@ class SatSolver:
         self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        """One entry per unassigned variable; the heap's pick stays the same."""
-        self._heap = [(-self.activity[v], v)
-                      for v in range(1, self.num_vars + 1) if self.value[v] == 0]
+        """One entry per unassigned decision variable; the heap's pick stays
+        the same."""
+        self._heap = [(-self.activity[v], v) for v in range(1, self.num_vars + 1)
+                      if self.value[v] == 0 and self.decision[v]]
         self._heap.sort()
 
     def _bump_cla(self, c: int) -> None:
@@ -385,7 +410,7 @@ class SatSolver:
         value = self.value
         if self.num_vars > 0 and self.rng.random() < _RANDOM_DECISION_FREQ:
             v = self.rng.randint(1, self.num_vars)
-            if value[v] == 0:
+            if value[v] == 0 and self.decision[v]:
                 return v
         heap = self._heap
         act = self.activity
@@ -452,7 +477,8 @@ class SatSolver:
         """Run CDCL until SAT, UNSAT, or the budget is exhausted.
 
         SAT comes with a total assignment over variables 1..num_vars that
-        makes every assumption true. UNSAT is either a level-0 refutation,
+        makes every assumption true; a non-decision variable that nothing
+        set reads False in it. UNSAT is either a level-0 refutation,
         which is permanent, or a proof that the clauses and the assumptions
         cannot hold together, which leaves the solver usable. UNKNOWN is
         returned only when budget.exhausted() holds: on entry, after a

@@ -17,18 +17,23 @@ objectives, each a weighted sum of relaxation variables:
 Every objective is bounded with one Generalized Totalizer, built when its
 first model is found and capped at that model's value c, the first bound
 asserted. For apx-subprob's unit weights this is the Totalizer counter
-capped at the cluster's first count.
+capped at the cluster's first count. The solver branches only on the
+original and relaxation variables: the encoder's outputs are non-decision
+variables (see satcore and encodings), which propagation alone sets from
+the relaxation variables, so a model's objective value reads the same
+whether or not an output was left unset.
 
 No encoding grows past encodings.MAX_GTE_CLAUSES. When apx-weight's would,
 the search falls back to coarser weights, the paper's own lever: it halves
 the effective m (the distinct-weight count for m=0, at most that count
 otherwise), re-partitions, recomputes c from the current model under the
-new representatives and tries again, until the encoding fits. Where even
-m=1 does not fit, and for apx-subprob's unit-weight counters, which have no
-coarser weights, the search ends with the best model found. A search that
-fell back ends satisfiable at best, never exact: it minimized coarser
-weights than the configured ones. SearchReport records the m searched and
-each fallback.
+new representatives and tries again, until the encoding fits. The best
+model is re-priced under each new scheme, so its approx_cost and bounds
+always refer to the same weights. Where even m=1 does not fit, and for
+apx-subprob's unit-weight counters, which have no coarser weights, the
+search ends with the best model found. A search that fell back ends
+satisfiable at best, never exact: it minimized coarser weights than the
+configured ones. SearchReport records the m searched and each fallback.
 
 On a model whose objective value is c, "<= c" is frozen as hard clauses
 and the solver is called again assuming "<= c-1". A model found that way
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import clustering, wcnf
@@ -113,7 +118,9 @@ class SearchReport:
     which differs from the resolved m (see resolve_clusters) only after a
     fallback, and None on a report no search filled. fallbacks lists, in
     order, each m whose encoding was over the cap with the m retried after
-    it, None where the search stopped instead."""
+    it, None where the search stopped instead. solver_stats is a copy of
+    the solver's final stats (conflicts, decisions, propagations, restarts,
+    reductions), empty when no solver was built."""
 
     best: wcnf.Model | None
     status: str
@@ -123,6 +130,7 @@ class SearchReport:
     exact: bool = False
     clusters: int | None = None
     fallbacks: list[tuple[int, int | None]] = field(default_factory=list)
+    solver_stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def cost(self) -> int | None:
@@ -168,6 +176,7 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                       for cluster in reversed(part.clusters)]
     report = SearchReport(None, UNKNOWN, bounds=[None] * len(objectives))
     budget = Budget(cfg.timeout_s, cfg.max_conflicts, cfg.stop)
+    solver = None
 
     def offer(full_assignment) -> None:
         # keep a model of strictly lower true cost, priced under the
@@ -188,6 +197,8 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
         report.exact = (weighted and scheme.weight_m == scheme.weight
                         and status == OPTIMUM_FOR_APPROXIMATION)
         report.elapsed = time.monotonic() - started
+        if solver is not None:
+            report.solver_stats = dict(solver.stats)
         return report
 
     if budget.exhausted():
@@ -228,6 +239,9 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                     report.fallbacks.append((refused, m))
                     _, scheme = clustering.partition(f, m)
                     items = list(zip(relax_of, scheme.weight_m))
+                    # a new Model: the one on_improve was given keeps its price
+                    report.best = replace(report.best, approx_cost=wcnf.cost(
+                        f, report.best.assignment, weights=scheme.weight_m))
                     continue
             enc.set_bound(c, solver)
             # with "<= c" frozen, the negated root output for sum c is "<= c-1"

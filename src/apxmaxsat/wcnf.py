@@ -92,7 +92,8 @@ class WcnfFormula:
 class Model:
     """A total assignment over the original variables, with its cost under
     the original weights (true_cost) and the approximated weights searched
-    when it was found (approx_cost)."""
+    when it was found (approx_cost); a search's best model is re-priced
+    when the search falls back to coarser weights (see search)."""
 
     assignment: dict[int, bool]
     true_cost: int

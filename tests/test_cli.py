@@ -126,6 +126,22 @@ def test_verbose_prints_each_fallback_to_coarser_clusters(tmp_path):
         line for line in r.stdout.splitlines() if not line.startswith("c ")) + "\n"
 
 
+def test_verbose_prints_the_solver_stats(e1_path):
+    r = run_cli("solve", e1_path, "--algorithm", "apx-weight", "--clusters", "0",
+                "--verbosity", "1")
+    stats = [line.split() for line in r.stdout.splitlines()
+             if line.startswith("c solver ")]
+    assert len(stats) == 1
+    keys = [token.partition("=")[0] for token in stats[0][2:]]
+    assert keys == ["conflicts", "decisions", "propagations", "restarts", "reductions"]
+    assert all(token.partition("=")[2].isdigit() for token in stats[0][2:])
+    assert s_lines(r.stdout) == ["s OPTIMUM FOUND"]
+    # no line without verbosity, nor when the budget ran out before a solver was built
+    assert "c solver" not in run_cli("solve", e1_path).stdout
+    spent = run_cli("solve", e1_path, "--conflicts", "0", "--verbosity", "1")
+    assert "c solver" not in spent.stdout and s_lines(spent.stdout) == ["s UNKNOWN"]
+
+
 def test_verbose_prints_parse_warnings(tmp_path):
     p = tmp_path / "short.wcnf"
     p.write_text("p wcnf 2 5 10\n10 1 2 0\n3 -1 0\n2 -2 0\n")

@@ -3,13 +3,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from apxmaxsat import encodings
 from apxmaxsat.encodings import (CnfBuffer, EncodingInterrupted, EncodingTooLarge,
                                  GeneralizedTotalizer, Totalizer)
-from apxmaxsat.satcore import Budget
+from apxmaxsat.satcore import Budget, SatSolver, Status
 
-from conftest import arithmetic_models, clause_sat, projected_models
+from conftest import (all_assignments, arithmetic_models, clause_sat, clause_strategy,
+                      projected_models)
 
 
 def buffer_models(buf):
@@ -354,6 +357,61 @@ def test_gte_build_stops_when_the_budget_runs_out():
     assert len(full.clauses) - len(buf.clauses) < len(gte.sums)
     with pytest.raises(EncodingInterrupted):
         GeneralizedTotalizer(items, 78, CnfBuffer(12), budget=Budget(timeout_s=0))
+
+
+# ----------------------------------------------------------------------
+# outputs as non-decision variables of a solver
+
+class RecordingSink:
+    """Builds into a SatSolver and keeps a copy of every clause it adds."""
+
+    def __init__(self, solver):
+        self.solver = solver
+        self.clauses = []
+
+    def new_var(self, decision=True):
+        return self.solver.new_var(decision=decision)
+
+    def add_clause(self, lits):
+        self.clauses.append(list(lits))
+        self.solver.add_clause(lits)
+
+
+@st.composite
+def cnf_and_gte(draw, max_vars=7):
+    """A random CNF over n <= max_vars variables, GTE inputs over distinct
+    variables of it with random signs and weights, a cap, and a descending
+    path of bounds at most the cap."""
+    n = draw(st.integers(1, max_vars))
+    clauses = draw(st.lists(clause_strategy(n), max_size=14))
+    inputs = draw(st.lists(st.integers(1, n), min_size=1, unique=True))
+    items = [(v if draw(st.booleans()) else -v, draw(st.integers(1, 12)))
+             for v in inputs]
+    cap = draw(st.integers(0, sum(w for _, w in items)))
+    bounds = draw(st.lists(st.integers(0, cap), min_size=1, max_size=3, unique=True))
+    return n, clauses, items, cap, sorted(bounds, reverse=True)
+
+
+@settings(max_examples=300)
+@given(cnf_and_gte(), st.integers(0, 3))
+def test_gte_in_solver_agrees_with_enumeration(case, seed):
+    n, clauses, items, cap, bounds = case
+    solver = SatSolver(n, seed=seed)
+    sink = RecordingSink(solver)
+    for c in clauses:
+        sink.add_clause(c)
+    gte = GeneralizedTotalizer(items, cap, sink)
+    # every variable the encoder made is left to propagation
+    assert not any(solver.decision[n + 1:])
+    for b in bounds:  # tightened in place, as the search does
+        gte.set_bound(b, sink)
+        expected = any(all(clause_sat(c, a) for c in clauses)
+                       and sum(w for l, w in items if clause_sat([l], a)) <= b
+                       for a in all_assignments(n))
+        st_, model = solver.solve()
+        assert st_ is (Status.SAT if expected else Status.UNSAT)
+        if st_ is Status.SAT:  # encoding clauses included
+            assert all(clause_sat(c, model) for c in sink.clauses)
 
 
 def test_cnf_buffer_dimacs():

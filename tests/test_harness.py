@@ -251,6 +251,9 @@ def test_report_json_and_table(tmp_path):
     assert rec["trace"][-1][1] == 2
     assert data["averages"]["apx-weight/m=0"]["score_exact"] == [1, 1]
     assert (rec["exact"], rec["clusters"], rec["fallbacks"]) == (True, 0, [])
+    assert set(rec["solver_stats"]) == {"conflicts", "decisions", "propagations",
+                                        "restarts", "reductions"}
+    assert rec["solver_stats"]["propagations"] > 0
     text = table.table_text()
     assert "avg-score" in text and "apx-subprob/m=weights" in text
 

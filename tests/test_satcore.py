@@ -179,6 +179,41 @@ def test_determinism_per_seed():
     assert a == b
 
 
+class AlwaysRandom(random.Random):
+    """Makes every branching decision a random pick of the last variable."""
+
+    def random(self):
+        return 0.0
+
+    def randint(self, a, b):
+        return b
+
+
+def test_non_decision_variable_is_never_decided_and_reads_false():
+    s = SatSolver(3, seed=0)
+    s.add_clause([1, 2])
+    s.add_clause([-2, 3])
+    implied = s.new_var(decision=False)  # set and unset by propagation only
+    s.add_clause([-1, implied])
+    free = s.new_var(decision=False)
+    s.rng = AlwaysRandom()  # would pick free at every decision
+    picked = []
+    pick = s._pick_branch
+
+    def recorded_pick():
+        picked.append(pick())
+        return picked[-1]
+
+    s._pick_branch = recorded_pick
+    for assumptions in ([-3], [], [-1]):  # implied is set, then unset
+        st_, model = s.solve(assumptions)
+        assert st_ is Status.SAT and model[free] is False
+        assert s.value[free] == 0 and model[implied] == model[1]
+        for v in (implied, free):
+            assert v not in picked and v not in (u for _, u in s._heap)
+    assert picked[-1] is None  # branching ended with no decision variable left
+
+
 # ----------------------------------------------------------------------
 # soundness and completeness at desk scale
 

@@ -58,6 +58,21 @@ def test_fidelity_trend_rejects_bad_budget_before_writing(tmp_path, flag, value)
     assert not keep.exists()
 
 
+def test_fidelity_trend_refuses_a_keep_dir_holding_instances(tmp_path):
+    keep = tmp_path / "kept"
+    sweep = ["--keep", str(keep), "--conflicts", "50", "--weight-grid", "1",
+             "--subprob-grid", "1"]
+    first = run_script("fidelity_trend.py", "--instances", "3", *sweep)
+    assert first.returncode == 0, first.stderr
+    kept = {p.name: p.read_text() for p in keep.iterdir()}
+    assert len(kept) == 3
+    # a second sweep would score the first one's instances as its own
+    again = run_script("fidelity_trend.py", "--instances", "1", *sweep)
+    assert again.returncode == 2 and "Traceback" not in again.stderr
+    assert "already holds" in again.stderr and again.stdout == ""
+    assert {p.name: p.read_text() for p in keep.iterdir()} == kept
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name.removesuffix(".py"),
                                                   ROOT / "scripts" / name)

@@ -380,6 +380,22 @@ def test_fallback_minimizes_the_coarser_clusters(monkeypatch):
     assert fitted >= 5 and priced_after_fallback >= 3
 
 
+def test_best_model_is_repriced_under_the_scheme_fallen_back_to(monkeypatch):
+    # the best model is found before the fallbacks and never improved on
+    monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 60)
+    rng = seeded_rng(8080)
+    for _ in range(12):
+        f = harness.random_wcnf(rng, max_vars=10, max_clauses=16)
+    found = []
+    report = search.solve(f, weight_cfg(0, seed=11), on_improve=found.append)
+    assert report.fallbacks and report.clusters == 1 and len(report.trace) == 1
+    searched = clustering.partition(f, report.clusters)[1]
+    assert report.best.approx_cost == wcnf.cost(f, report.best.assignment,
+                                                weights=searched.weight_m)
+    # the model given to on_improve keeps the price it was found at
+    assert found[0].approx_cost == found[0].true_cost != report.best.approx_cost
+
+
 def test_over_cap_counter_without_coarser_lever_keeps_first_model(monkeypatch):
     # one weight, and one of the two soft units is paid by every model
     f = wcnf.parse_wcnf("p wcnf 2 3 10\n10 1 2 0\n3 -1 0\n3 -2 0\n")
