@@ -7,9 +7,10 @@ given by --root (this one by default), so the run measures that checkout's
 own src/ and benchmark settings. The result line of each run (the last line
 it prints) is stored with the checkout's commit, and whether its working
 tree differed from that commit, as one snapshot appended to the file's
-"snapshots" list; the file is created when it does not exist. Quote
-before-and-after figures from two snapshots in one file, taken on the same
-host.
+"snapshots" list; the file is created when it does not exist. A run that
+fails or whose last line is not a JSON object stops the script, which then
+writes nothing. Quote before-and-after figures from two snapshots in one
+file, taken on the same host.
 
     python scripts/bench_snapshot.py BENCH.json --label parent --root ../parent
     python scripts/bench_snapshot.py BENCH.json --label change
@@ -74,7 +75,14 @@ def main(argv=None) -> int:
             sys.stderr.write(run.stdout + run.stderr)
             print(f"error: workload {name} exited with {run.returncode}", file=sys.stderr)
             return 1
-        snapshot["workloads"][name] = json.loads(run.stdout.splitlines()[-1])
+        try:
+            result = json.loads(run.stdout.splitlines()[-1])
+        except (IndexError, ValueError):
+            result = None
+        if not isinstance(result, dict):
+            print(f"error: workload {name} printed no result line", file=sys.stderr)
+            return 1
+        snapshot["workloads"][name] = result
     data = json.loads(args.out.read_text()) if args.out.exists() else {"snapshots": []}
     data["snapshots"].append(snapshot)
     args.out.write_text(json.dumps(data, indent=1) + "\n")

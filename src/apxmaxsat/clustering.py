@@ -4,9 +4,10 @@ Soft clauses are sorted by weight and cut at the m-1 largest consecutive
 weight gaps, yielding m clusters of similar weights. Every clause in a
 cluster is then assigned the cluster's representative weight (the rounded
 arithmetic mean), producing an approximated weight map with at most m
-distinct values. m=0 means no clustering: the approximated map equals the
-original. Also provides the multilevel-dominance check used to recognize
-instances where greedy per-cluster minimization is exact.
+distinct values. m=0 takes every gap, one cluster per distinct weight, so
+the approximated map equals the original. Also provides the
+multilevel-dominance check used to recognize instances where greedy
+per-cluster minimization is exact.
 
 All functions are pure; results are immutable and shareable.
 """
@@ -23,15 +24,11 @@ class Partition:
     """Ordered clusters of soft-clause indices.
 
     Clusters are ascending in weight: every clause in clusters[j] weighs at
-    most every clause in clusters[j+1]. boundaries holds the chosen gap
-    positions in the weight-sorted order (a boundary at p splits sorted
-    positions p and p+1). m is the requested cluster count; the effective
-    count len(clusters) never exceeds min(m, #distinct weights) for m >= 1.
+    most every clause in clusters[j+1]. len(clusters) is the effective
+    count: min(m, #distinct weights) for m >= 1, #distinct weights for m=0.
     """
 
     clusters: tuple[tuple[int, ...], ...]
-    m: int
-    boundaries: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -39,8 +36,9 @@ class WeightScheme:
     """Original and approximated weights, per soft index and per cluster.
 
     weight_m is constant on each cluster and equals that cluster's rep
-    entry; with m=0 (or m >= #distinct weights) it equals weight pointwise,
-    and rep is empty for m=0 since no substitution happens.
+    entry, so rep ascends with the clusters. With m=0 (or m >= #distinct
+    weights) every cluster holds one weight: rep lists the distinct weights
+    and weight_m equals weight pointwise.
     """
 
     weight: tuple[int, ...]
@@ -67,45 +65,31 @@ def partition(f: WcnfFormula, m: int) -> tuple[Partition, WeightScheme]:
     representative weights.
 
     The sort is stable with the soft index as tiebreak. Gap ties prefer the
-    lower position; zero gaps are never chosen, so requesting more clusters
-    than there are distinct weights shrinks the effective count (and leaves
-    weight_m == weight). m=0 performs no clustering: one cluster holds
-    everything and weight_m == weight.
+    lower position; zero gaps are never chosen, so the effective count
+    len(clusters) is min(m, #distinct weights), and at #distinct weights
+    weight_m == weight. m=0 takes every positive gap: one cluster per
+    distinct weight, the true weights. Without soft clauses the partition
+    is empty for every m.
     """
     if m < 0:
         raise ValueError("cluster count must be >= 0")
     weights = [w for _, w in f.soft]
     n = len(weights)
-    if m == 0:
-        clusters: tuple[tuple[int, ...], ...]
-        if n:
-            order = sorted(range(n), key=lambda i: (weights[i], i))
-            clusters = (tuple(order),)
-        else:
-            clusters = ()
-        scheme = WeightScheme(tuple(weights), tuple(weights), ())
-        return Partition(clusters, 0, ()), scheme
-    if n == 0:
-        raise ValueError("m >= 1 requires at least one soft clause")
     order = sorted(range(n), key=lambda i: (weights[i], i))
     sorted_w = [weights[i] for i in order]
-    gaps = [(sorted_w[k + 1] - sorted_w[k], k) for k in range(n - 1)]
-    positive = [(d, k) for d, k in gaps if d > 0]
-    positive.sort(key=lambda t: (-t[0], t[1]))
-    chosen = sorted(k for _, k in positive[: m - 1])
-    built: list[tuple[int, ...]] = []
-    start = 0
-    for b in chosen:
-        built.append(tuple(order[start: b + 1]))
-        start = b + 1
-    built.append(tuple(order[start:]))
-    rep = tuple(representative_weight(weights[i] for i in cl) for cl in built)
+    gaps = [(sorted_w[k + 1] - sorted_w[k], k + 1) for k in range(n - 1)
+            if sorted_w[k + 1] > sorted_w[k]]
+    gaps.sort(key=lambda t: (-t[0], t[1]))
+    # a cut at p starts a cluster at sorted position p; m=0 asks for as many
+    # clusters as there are soft clauses
+    cuts = sorted({0, n} | {p for _, p in gaps[:(m or n) - 1]})
+    clusters = tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
+    rep = tuple(representative_weight(weights[i] for i in cl) for cl in clusters)
     weight_m = [0] * n
-    for ci, cl in enumerate(built):
+    for r, cl in zip(rep, clusters):
         for i in cl:
-            weight_m[i] = rep[ci]
-    scheme = WeightScheme(tuple(weights), tuple(weight_m), rep)
-    return Partition(tuple(built), m, tuple(chosen)), scheme
+            weight_m[i] = r
+    return Partition(clusters), WeightScheme(tuple(weights), tuple(weight_m), rep)
 
 
 def is_bmo(f: WcnfFormula, p: Partition) -> bool:

@@ -108,8 +108,7 @@ class SatSolver:
         # clause arena: [size, lit, lit, ...] per clause, size negated once
         # deleted; a clause is the offset of its header
         self.arena: list[int] = []
-        self.learnts: list[int] = []
-        self.cla_activity: dict[int, float] = {}  # learnt offset -> activity
+        self.learnts: dict[int, float] = {}  # learnt offset -> activity
         self._problem_clauses = 0
         self._garbage = 0  # arena cells held by deleted clauses
         # literal-indexed state, -l reached by negative indexing: slots
@@ -342,7 +341,7 @@ class SatSolver:
         self._heap.sort()
 
     def _bump_cla(self, c: int) -> None:
-        act = self.cla_activity
+        act = self.learnts
         act[c] += self.cla_inc
         if act[c] > _RESCALE_LIMIT:
             for d in act:
@@ -362,7 +361,7 @@ class SatSolver:
         p = 0
         c = confl
         while True:
-            if c in self.cla_activity:
+            if c in self.learnts:
                 self._bump_cla(c)
             for k in range(c + 1 if p == 0 else c + 2, c + 1 + arena[c]):
                 q = arena[k]
@@ -399,8 +398,7 @@ class SatSolver:
             self._enqueue(learnt[0], None)
             return
         c = self._attach(learnt)
-        self.learnts.append(c)
-        self.cla_activity[c] = self.cla_inc
+        self.learnts[c] = self.cla_inc
         self._enqueue(learnt[0], c)
 
     # ------------------------------------------------------------------
@@ -427,21 +425,19 @@ class SatSolver:
         self.stats["reductions"] += 1
         arena = self.arena
         reason = self.reason
-        act = self.cla_activity
-        self.learnts.sort(key=act.__getitem__)
-        target = len(self.learnts) // 2
+        act = self.learnts
+        target = len(act) // 2
         removed = 0
-        kept: list[int] = []
-        for c in self.learnts:
+        kept: dict[int, float] = {}
+        for c in sorted(act, key=act.__getitem__):
             size = arena[c]
             # a clause that is the reason of its first literal is locked
             if removed < target and size > 2 and reason[abs(arena[c + 1])] != c:
                 arena[c] = -size
-                del act[c]
                 self._garbage += size + 1
                 removed += 1
             else:
-                kept.append(c)
+                kept[c] = act[c]
         self.learnts = kept
         self._max_learnts *= 1.3
         if 2 * self._garbage > len(arena):
@@ -450,7 +446,7 @@ class SatSolver:
     def _compact(self) -> None:
         """Drop deleted clauses from the arena, keeping the order of the
         live ones and of every watch list, and move every offset held in
-        reasons, learnts, activities and watches to the clause's new place."""
+        reasons, learnts and watches to the clause's new place."""
         arena = self.arena
         moved: dict[int, int] = {}
         out: list[int] = []
@@ -466,8 +462,7 @@ class SatSolver:
         self.watches = [ws if ws is None else [moved[d] for d in ws if d in moved]
                         for ws in self.watches]
         self.reason = [None if r is None else moved[r] for r in self.reason]
-        self.learnts = [moved[c] for c in self.learnts]
-        self.cla_activity = {moved[c]: a for c, a in self.cla_activity.items()}
+        self.learnts = {moved[c]: a for c, a in self.learnts.items()}
 
     # ------------------------------------------------------------------
     # search

@@ -25,11 +25,11 @@ whether or not an output was left unset.
 
 No encoding grows past encodings.MAX_GTE_CLAUSES. When apx-weight's would,
 the search falls back to coarser weights, the paper's own lever: it halves
-the effective m (the distinct-weight count for m=0, at most that count
-otherwise), re-partitions, recomputes c from the current model under the
-new representatives and tries again, until the encoding fits. The best
-model is re-priced under each new scheme, so its approx_cost and bounds
-always refer to the same weights. Where even m=1 does not fit, and for
+the effective m, the number of clusters in the partition searched (see
+clustering.partition), re-partitions, recomputes c from the current model
+under the new representatives and tries again, until the encoding fits.
+The best model is re-priced under each new scheme, so its approx_cost and
+bounds always refer to the same weights. Where even m=1 does not fit, and for
 apx-subprob's unit-weight counters, which have no coarser weights, the
 search ends with the best model found. A search that fell back ends
 satisfiable at best, never exact: it minimized coarser weights than the
@@ -114,13 +114,14 @@ class SearchReport:
     stays right on a report whose model was dropped. bounds holds each
     objective's last bound in processing order (None before its first
     model). exact says the best model is a proven optimum: apx-weight
-    searched to the end on the true weights. clusters is the m searched,
-    which differs from the resolved m (see resolve_clusters) only after a
-    fallback, and None on a report no search filled. fallbacks lists, in
-    order, each m whose encoding was over the cap with the m retried after
-    it, None where the search stopped instead. solver_stats is a copy of
-    the solver's final stats (conflicts, decisions, propagations, restarts,
-    reductions), empty when no solver was built."""
+    searched to the end on the true weights. clusters is the m searched
+    last: the resolved m (see resolve_clusters), also on an instance without
+    soft clauses, until a fallback retries a smaller one; None on a report
+    no search filled. fallbacks lists, in order, each m whose encoding was
+    over the cap with the m retried after it, None where the search stopped
+    instead. solver_stats is a copy of the solver's final stats (conflicts,
+    decisions, propagations, restarts, reductions), empty when no solver
+    was built."""
 
     best: wcnf.Model | None
     status: str
@@ -165,8 +166,7 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
     """
     started = time.monotonic()
     weighted = cfg.algorithm == APX_WEIGHT
-    # nothing to cluster without soft clauses; apx-subprob gets no objectives
-    m = resolve_clusters(f, cfg.clusters) if f.soft else 0
+    m = resolve_clusters(f, cfg.clusters)
     part, scheme = clustering.partition(f, m)
     relax_of = wcnf.relax(f)
     if weighted:
@@ -229,15 +229,14 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                 except EncodingInterrupted:
                     return finish(SATISFIABLE)
                 except EncodingTooLarge:
-                    distinct = clustering.distinct_weight_count(f)
-                    refused = min(m, distinct) if m else distinct
+                    refused = len(part.clusters)
                     # unit-weight counters have no coarser weights to fall to
                     if not weighted or refused == 1:
                         report.fallbacks.append((refused, None))
                         return finish(SATISFIABLE)
                     m = refused // 2
                     report.fallbacks.append((refused, m))
-                    _, scheme = clustering.partition(f, m)
+                    part, scheme = clustering.partition(f, m)
                     items = list(zip(relax_of, scheme.weight_m))
                     # a new Model: the one on_improve was given keeps its price
                     report.best = replace(report.best, approx_cost=wcnf.cost(

