@@ -15,8 +15,8 @@ objectives, each a weighted sum of relaxation variables:
   its final UNSAT proves only a lexicographic minimum.
 
 Every objective is bounded with one Generalized Totalizer, built when its
-first model is found and capped at that model's value c, the first bound
-asserted. For apx-subprob's unit weights this is the Totalizer counter
+first model is found and capped at that model's value c, the first bound,
+which the encoding enforces as it is built. For apx-subprob's unit weights this is the Totalizer counter
 capped at the cluster's first count. The solver branches only on the
 original and relaxation variables: the encoder's outputs are non-decision
 variables (see satcore and encodings), which propagation alone sets from

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from apxmaxsat import encodings
+from apxmaxsat import encodings, harness
 from apxmaxsat.encodings import (CnfBuffer, EncodingInterrupted, EncodingTooLarge,
                                  GeneralizedTotalizer, Totalizer)
 from apxmaxsat.satcore import Budget, SatSolver, Status
 
 from conftest import (all_assignments, arithmetic_models, clause_sat, clause_strategy,
-                      projected_models)
+                      projected_models, seeded_rng)
 
 
 def buffer_models(buf):
@@ -103,24 +103,21 @@ def test_totalizer_contract_errors():
 # generalized totalizer
 
 def test_gte_two_weights_overflow_collapse():
+    # 2 + 3 passes max_bound 3: the build alone forbids the pair
     buf = CnfBuffer(2)
     gte = GeneralizedTotalizer([(1, 2), (2, 3)], 3, buf)
     assert [s for s, _ in gte.sums] == [2, 3]
-    assert gte.overflow is not None
-    over = gte.overflow
-    for a in buffer_models(buf):
-        if a[1] and a[2]:
-            assert a[over]
-    gte.set_bound(3, buf)
+    assert not hasattr(gte, "overflow")
     projections = {tuple(v for v in (1, 2) if a[v]) for a in buffer_models(buf)}
     assert projections == {(), (1,), (2,)}
+    gte.set_bound(3, buf)  # at max_bound: nothing left to forbid
+    assert {tuple(v for v in (1, 2) if a[v]) for a in buffer_models(buf)} == projections
 
 
 def test_gte_unit_weights_degenerate_to_counter():
     buf = CnfBuffer(3)
     gte = GeneralizedTotalizer([(1, 1), (2, 1), (3, 1)], 3, buf)
     assert [s for s, _ in gte.sums] == [1, 2, 3]
-    assert gte.overflow is None
     for a in buffer_models(buf):
         k = sum(a[v] for v in (1, 2, 3))
         for s, lit in gte.sums:
@@ -131,10 +128,8 @@ def test_gte_unit_weights_degenerate_to_counter():
 def test_gte_single_heavy_input_forced_false():
     buf = CnfBuffer(1)
     gte = GeneralizedTotalizer([(1, 4)], 3, buf)
-    assert gte.sums == [] and gte.overflow == 1
-    gte.set_bound(3, buf)
-    for a in buffer_models(buf):
-        assert not a[1]
+    assert gte.sums == [] and buf.clauses == [(-1,)]
+    assert [a[1] for a in buffer_models(buf)] == [False]
 
 
 def test_gte_bounds_between_sums_equivalent():
@@ -239,10 +234,10 @@ def test_gte_size_grows_with_distinct_weights():
 
 
 @pytest.mark.parametrize("seed, clauses, num_vars, digest", [
-    (0, 2746, 354, "2d26bd6204df3725"),
-    (1, 299, 120, "950d8397f3d68036"),
-    (2, 82, 56, "26dd1b30dccea772"),
-    (3, 427, 157, "e96962924d1a4d7a"),
+    pytest.param(0, 1670, 378, "6647e226d53cafa7", id="seed0"),
+    pytest.param(1, 235, 126, "7fc7b4073bffe232", id="seed1"),
+    pytest.param(2, 76, 57, "10bda26f4b27e4ed", id="seed2"),
+    pytest.param(3, 334, 162, "712aee68d63cea2e", id="seed3"),
 ])
 def test_gte_clause_list_is_pinned(seed, clauses, num_vars, digest):
     # the exact clause sequence the solver's search paths depend on
@@ -259,36 +254,53 @@ def test_gte_clause_list_is_pinned(seed, clauses, num_vars, digest):
 def one_pass_gte(items, max_bound, sink):
     """The one-pass merge-tree builder that sizing before emitting split
     in two, kept as the reference for the clauses and variables the GTE
-    makes. Returns its root (sums, overflow)."""
-    def build(pairs):
+    makes and for the charge its cap counts. Returns its root sums and the
+    charge."""
+    charge = 0
+
+    def build(pairs):  # -> (sums, whether the inputs can pass max_bound)
+        nonlocal charge
         if len(pairs) == 1:
             lit, w = pairs[0]
-            return ([], lit) if w > max_bound else ([(w, lit)], None)
+            if w > max_bound:
+                sink.add_clause([-lit])
+                return [], True
+            return [(w, lit)], False
         half = len(pairs) // 2
         lsums, lover = build(pairs[:half])
         rsums, rover = build(pairs[half:])
+        charge += len(lsums) + len(rsums) + len(lsums) * len(rsums) + lover + rover
         reach = {s for s, _ in lsums} | {s for s, _ in rsums}
-        need_over = lover is not None or rover is not None
+        over = lover or rover
+        cut = {}  # left sum -> least right sum that takes it past max_bound
         for sa, _ in lsums:
             for sb, _ in rsums:
                 if sa + sb > max_bound:
-                    need_over = True
+                    over = True
+                    cut.setdefault(sa, sb)
                 else:
                     reach.add(sa + sb)
         out = {s: sink.new_var() for s in sorted(reach)}
-        over = sink.new_var() if need_over else None
+        steps = sorted(set(cut.values()))
+        rung = {t: sink.new_var() for t in steps}
         for s, l in lsums + rsums:
             sink.add_clause([-l, out[s]])
-        for child_over in (lover, rover):
-            if child_over is not None:
-                sink.add_clause([-child_over, over])
+        for sb, lb in rsums:
+            below = [t for t in steps if t <= sb]
+            if below:
+                sink.add_clause([-lb, rung[below[-1]]])
+        for lo, hi in zip(steps, steps[1:]):
+            sink.add_clause([-rung[hi], rung[lo]])
         for sa, la in lsums:
             for sb, lb in rsums:
-                t = sa + sb
-                sink.add_clause([-la, -lb, out[t] if t <= max_bound else over])
+                if sa + sb <= max_bound:
+                    sink.add_clause([-la, -lb, out[sa + sb]])
+            if sa in cut:
+                sink.add_clause([-la, -rung[cut[sa]]])
         return [(s, out[s]) for s in sorted(reach)], over
 
-    return build([(int(l), int(w)) for l, w in items])
+    sums, _ = build([(int(l), int(w)) for l, w in items])
+    return sums, charge
 
 
 def test_gte_matches_one_pass_reference_seeded_trials():
@@ -300,30 +312,73 @@ def test_gte_matches_one_pass_reference_seeded_trials():
         cap = rng.randint(0, sum(weights))
         two_pass, one_pass = CnfBuffer(len(items)), CnfBuffer(len(items))
         gte = GeneralizedTotalizer(items, cap, two_pass)
-        assert (gte.sums, gte.overflow) == one_pass_gte(items, cap, one_pass)
+        assert gte.sums == one_pass_gte(items, cap, one_pass)[0]
         assert two_pass.clauses == one_pass.clauses
         assert two_pass.num_vars == one_pass.num_vars
 
 
-def test_gte_cap_counts_exactly_the_clauses_emitted(monkeypatch):
+def test_gte_cap_counts_the_charge(monkeypatch):
+    # each merge node is charged |L| + |R| + |L|*|R| plus one per child that
+    # can pass max_bound, whatever it emits: the cap refuses on the charge
     rng = random.Random(31)
     for trial in range(30):
         weights = random_weights(rng, max_inputs=12, max_weight=40)
         items = list(zip(range(1, len(weights) + 1), weights))
         cap = rng.randint(0, sum(weights))
-        monkeypatch.undo()
-        full = CnfBuffer(len(items))
-        GeneralizedTotalizer(items, cap, full)
-        monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", len(full.clauses))
+        reference = CnfBuffer(len(items))
+        charge = one_pass_gte(items, cap, reference)[1]
+        monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", charge)
         at_cap = CnfBuffer(len(items))
         GeneralizedTotalizer(items, cap, at_cap)
-        assert at_cap.clauses == full.clauses
-        if full.clauses:
-            monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", len(full.clauses) - 1)
+        assert at_cap.clauses == reference.clauses
+        if len(items) > 1:  # a lone input is no merge node and is never charged
+            monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", charge - 1)
             over = CnfBuffer(len(items))
             with pytest.raises(EncodingTooLarge):
                 GeneralizedTotalizer(items, cap, over)
             assert (over.num_vars, over.clauses) == (len(items), [])
+
+
+def test_gte_clauses_hold_at_most_one_positive_created_literal():
+    # the condition under which SatSolver reads an unset non-decision
+    # variable as False: outputs and rungs count as created variables
+    rng = random.Random(5150)
+    for trial in range(100):
+        weights = random_weights(rng, max_inputs=16, max_weight=60)
+        n = len(weights)
+        items = [(v if rng.random() < 0.5 else -v, w)
+                 for v, w in enumerate(weights, start=1)]
+        cap = rng.randint(0, sum(weights))
+        buf = CnfBuffer(n)
+        gte = GeneralizedTotalizer(items, cap, buf)
+        if cap:
+            gte.set_bound(rng.randint(0, cap - 1), buf)
+        assert all(sum(l > n for l in c) <= 1 for c in buf.clauses)
+
+
+def test_gte_enforces_max_bound_when_built_seeded_trials():
+    rng = random.Random(2718)
+    for trial in range(60):
+        weights = random_weights(rng, max_inputs=8, max_weight=12)
+        n = len(weights)
+        cap = rng.randint(0, sum(weights))
+        buf = CnfBuffer(n)
+        GeneralizedTotalizer(list(zip(range(1, n + 1), weights)), cap, buf)
+        assert projected_models(buf.clauses, range(1, n + 1)) \
+            == arithmetic_models(weights, cap)
+
+
+def test_gte_fidelity_objective_emits_well_under_its_charge():
+    # the exact objective of a fidelity instance at its first bound, the
+    # sum of its mid-tier weights (each pair's u unit comes first)
+    f = harness.fidelity_family(seeded_rng(20250810))
+    items = [(v, w) for v, (_, w) in enumerate(f.soft, start=1)]
+    first_bound = sum(w for _, w in f.soft[0:16:2])
+    reference = CnfBuffer(len(items))
+    charge = one_pass_gte(items, first_bound, reference)[1]
+    buf = CnfBuffer(len(items))
+    GeneralizedTotalizer(items, first_bound, buf)
+    assert len(buf.clauses) < 0.4 * charge
 
 
 def test_gte_over_cap_leaves_sink_untouched():

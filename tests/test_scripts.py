@@ -95,16 +95,22 @@ def test_bench_snapshot_runs_every_benchmark_workload(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--root", "{tmp}"], ["{tmp}/missing/bench.json"],
     ["{tmp}/not-a-snapshot.json"],
+    ["--root", "{tmp}/uncommitted"],  # has the benchmark's files, but no git
 ])
 def test_bench_snapshot_rejects_bad_arguments_before_running(tmp_path, argv):
     (tmp_path / "not-a-snapshot.json").write_text("[1, 2]")
+    uncommitted = tmp_path / "uncommitted"
+    (uncommitted / "perfbench").mkdir(parents=True)
+    (uncommitted / "perfbench" / "run.py").write_text("")
+    (uncommitted / "BENCHMARK.json").write_text("{}")
     argv = [a.format(tmp=tmp_path) for a in argv]
     if not argv[0].endswith(".json"):
         argv.insert(0, str(tmp_path / "bench.json"))
     r = run_script("bench_snapshot.py", *argv)
     assert r.returncode == 2 and "Traceback" not in r.stderr
     assert "error:" in r.stderr and r.stdout == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-snapshot.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-snapshot.json",
+                                                          "uncommitted"]
     assert (tmp_path / "not-a-snapshot.json").read_text() == "[1, 2]"
 
 
