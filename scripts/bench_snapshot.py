@@ -4,14 +4,14 @@
 Runs the benchmark command of BENCHMARK.json (`perfbench/run.py`) once for
 every workload it lists, at seed 1 for its `run_seconds`, in the checkout
 given by --root (this one by default), so the run measures that checkout's
-own src/ and benchmark settings. --root must be the top of a git checkout
-with a commit. The result line of each run (the last line
-it prints) is stored with the checkout's commit, and whether its working
-tree differed from that commit, as one snapshot appended to the file's
-"snapshots" list; the file is created when it does not exist. A run that
-fails or whose last line is not a JSON object stops the script, which then
-writes nothing. Quote before-and-after figures from two snapshots in one
-file, taken on the same host.
+own src/ and benchmark settings; --root must be the top of a git checkout
+with a commit. The result line of each run (the last line it prints) is
+stored with the checkout's commit, and whether its working tree differed
+from that commit, as one snapshot appended to the file's "snapshots" list;
+the file is created when it does not exist. A run that fails or whose last
+line is not a JSON object stops the script, which then writes nothing.
+Quote before-and-after figures from two snapshots in one file, taken on the
+same host.
 
     python scripts/bench_snapshot.py BENCH.json --label parent --root ../parent
     python scripts/bench_snapshot.py BENCH.json --label change
@@ -38,8 +38,8 @@ def parse_args(argv):
     for need in ("BENCHMARK.json", "perfbench/run.py"):
         if not (args.root / need).is_file():
             parser.error(f"--root {args.root} has no {need}")
-    top = subprocess.run(["git", "-C", str(args.root), "rev-parse", "--show-toplevel", "HEAD"],
-                         capture_output=True, text=True)
+    top = subprocess.run(["git", "-C", str(args.root), "rev-parse", "--show-toplevel",
+                          "HEAD"], capture_output=True, text=True)
     if top.returncode != 0 or top.stdout.splitlines()[0] != str(args.root):
         parser.error(f"--root {args.root} is not a git checkout with a commit")
     if not args.out.parent.is_dir():

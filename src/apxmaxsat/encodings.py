@@ -162,8 +162,7 @@ class GeneralizedTotalizer:
         _poll(budget)
         # row sa pairs with the right sums before its cut, the first index
         # whose sum takes sa + sb past max_bound; each distinct cut is a rung
-        rvals = [s for s, _ in rsums]
-        cuts = [bisect_right(rvals, self.max_bound - sa) for sa, _ in lsums]
+        cuts = [bisect_right(right[0], self.max_bound - sa) for sa, _ in lsums]
         out = {s: sink.new_var(decision=False) for s in sums}
         rung = {j: sink.new_var(decision=False)
                 for j in sorted(set(cuts)) if j < len(rsums)}

@@ -16,24 +16,25 @@ objectives, each a weighted sum of relaxation variables:
 
 Every objective is bounded with one Generalized Totalizer, built when its
 first model is found and capped at that model's value c, the first bound,
-which the encoding enforces as it is built. For apx-subprob's unit weights this is the Totalizer counter
-capped at the cluster's first count. The solver branches only on the
-original and relaxation variables: the encoder's outputs are non-decision
-variables (see satcore and encodings), which propagation alone sets from
-the relaxation variables, so a model's objective value reads the same
-whether or not an output was left unset.
+which the encoding enforces as it is built. For apx-subprob's unit weights
+this is the Totalizer counter capped at the cluster's first count. The
+solver branches only on the original and relaxation variables: the
+encoder's outputs are non-decision variables (see satcore and encodings),
+which propagation alone sets from the relaxation variables, so a model's
+objective value reads the same whether or not an output was left unset.
 
-No encoding grows past encodings.MAX_GTE_CLAUSES. When apx-weight's would,
-the search falls back to coarser weights, the paper's own lever: it halves
-the effective m, the number of clusters in the partition searched (see
-clustering.partition), re-partitions, recomputes c from the current model
-under the new representatives and tries again, until the encoding fits.
-The best model is re-priced under each new scheme, so its approx_cost and
-bounds always refer to the same weights. Where even m=1 does not fit, and for
-apx-subprob's unit-weight counters, which have no coarser weights, the
-search ends with the best model found. A search that fell back ends
-satisfiable at best, never exact: it minimized coarser weights than the
-configured ones. SearchReport records the m searched and each fallback.
+No encoding is charged past encodings.MAX_GTE_CLAUSES (see encodings).
+When apx-weight's would be, the search falls back to coarser weights, the
+paper's own lever: it halves the effective m, the number of clusters in
+the partition searched (see clustering.partition), re-partitions,
+recomputes c from the current model under the new representatives and
+tries again, until the encoding fits. The best model is re-priced under
+each new scheme, so its approx_cost and bounds always refer to the same
+weights. Where even m=1 does not fit, and for apx-subprob's unit-weight
+counters, which have no coarser weights, the search ends with the best
+model found. A search that fell back ends satisfiable at best, never
+exact: it minimized coarser weights than the configured ones. SearchReport
+records the m searched and each fallback.
 
 On a model whose objective value is c, "<= c" is frozen as hard clauses
 and the solver is called again assuming "<= c-1". A model found that way

@@ -542,9 +542,9 @@ def test_search_reports_are_pinned(monkeypatch):
     monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 60)
     rng = seeded_rng(8080)
     got["capped"] = run([harness.random_wcnf(rng) for _ in range(6)])
-    # what the search decides is pinned apart from the way it went (which
-    # models and conflicts the solver met), which any change to the
-    # clauses the encoder emits may move
+    # what the search decides is pinned apart from the way it went (solver
+    # stats and best models): a change to the clauses the encoder emits
+    # moves the path, and only rarely a decision
     decisions = {k: v[:3] for k, v in got.items()}
     paths = {k: v[3:] for k, v in got.items()}
     # (reports, fallbacks, decisions digest)
