@@ -175,11 +175,16 @@ def _cmd_solve(args) -> int:
 
     report = search.solve(f, cfg, on_improve)
     if args.verbosity >= 1:
-        for refused, retried in report.fallbacks:
-            then = (f"retrying at m={retried}" if retried is not None
-                    else "keeping the best model")
-            print(f"c encoding over {MAX_GTE_CLAUSES} clauses at m={refused}; {then}",
-                  flush=True)
+        fallbacks = iter(report.fallbacks)  # one per refused build, in order
+        for build in report.encoders:
+            print(f"c encoder inputs={build.inputs} clauses={build.clauses} "
+                  f"variables={build.variables} refused={int(build.refused)}", flush=True)
+            if build.refused:
+                refused, retried = next(fallbacks)
+                then = (f"retrying at m={retried}" if retried is not None
+                        else "keeping the best model")
+                print(f"c encoding over {MAX_GTE_CLAUSES} clauses at m={refused}; {then}",
+                      flush=True)
         if report.solver_stats:
             print("c solver " + " ".join(
                 f"{k}={report.solver_stats[k]}" for k in _SOLVER_STATS), flush=True)

@@ -1,11 +1,11 @@
 """CNF encodings of the bounding constraints.
 
 One encoder, the Generalized Totalizer (GTE), bounds a weighted sum of
-literals. It is a balanced binary merge tree whose every node carries one
-output literal per distinct reachable weighted sum up to max_bound, so the
-encoding size is driven by the number of distinct sums rather than weight
-magnitudes. In every model an output is implied true whenever the inputs
-below it reach its sum.
+literals from above. Below its root it is a balanced binary merge tree
+whose every node carries one output literal per distinct reachable weighted
+sum up to max_bound, so the encoding size is driven by the number of
+distinct sums rather than weight magnitudes. In every model an output is
+implied true whenever the inputs below it reach its sum.
 
 "Weighted sum <= max_bound" holds as soon as the encoding is built. A leaf
 heavier than max_bound gets the unit clause forbidding it. At a merge node,
@@ -15,37 +15,50 @@ g_t, a threshold ladder over the right child's outputs: a right output at
 or above the lowest rung implies the highest rung at or below its sum,
 each rung implies the one below, and one binary clause forbids sa with its
 cut's rung. That replaces one clause per overflowing pair of sums.
-Asserting the negations of root outputs above B then enforces "weighted
-sum <= B".
+
+The root has no outputs, since a linear search asks it one question only:
+is the sum at most B? It holds one order variable u_j per sum rsums[j] of
+its right child, "the right sum reaches rsums[j]", tied to the child by
+[-b_j, u_j] and [-u_j, u_(j-1)]. "Sum <= B" is a staircase of one clause
+per left sum sa, 0 included: [-a_sa, -u_cut] with cut the least j such
+that sa + rsums[j] > B, or [-a_sa] when sa > B alone (no clause when no
+right sum passes B). Unit propagation on it matches that of a root with
+one output per sum whose outputs above B are negated. The build emits the
+staircase for max_bound, set_bound(b) the rows that change at b, for
+good, and at_most(b) the same rows guarded by a fresh selector literal,
+so a bound can be tried and retracted. A lone input is the root's left
+child, with no right one.
 
 A GTE is built in two passes over the tree. The first computes every
 node's sorted sums and adds up each node's charge, |L| + |R| + |L|*|R| for
 children with |L| and |R| sums plus one per child whose inputs can pass
 max_bound: the clauses it would emit if every overflowing pair had a clause
-of its own. It raises EncodingTooLarge, before walking the node's pairs of
-sums, once the total charge would pass MAX_GTE_CLAUSES. The ladder emits
-fewer clauses than it is charged wherever more than a few pairs overflow.
-Only then does the second pass create the variables and emit the clauses,
-children first, so a refused encoding leaves its sink untouched. An
-optional satcore.Budget is polled once per merge node in both passes and
-once per row of a node's pairs while emitting; when it has run out the
-build raises EncodingInterrupted.
+of its own. The root is charged likewise, though it emits about |L| + 2|R|
+clauses: that keeps the cap's refusals, and with them the search's
+fallbacks, independent of how the root is encoded. The first pass raises EncodingTooLarge, before
+walking a node's pairs of sums, once the total charge would pass
+MAX_GTE_CLAUSES. Only then does the second pass create the variables and
+emit the clauses, children first, so a refused encoding leaves its sink
+untouched. An optional satcore.Budget is polled once per merge node in
+both passes and once per row of a node's pairs while emitting; when it has
+run out the build raises EncodingInterrupted.
 
-Totalizer is the GTE's unit-weight case capped at the input count: one
-root output o_j per count j, the unary cardinality counter, so asserting
-the negation of o_{k+1}..o_n enforces "at most k inputs true".
+Totalizer is the GTE's unit-weight case capped at the input count, so
+set_bound(k) enforces "at most k inputs true".
 
-Every output and rung variable the GTE creates is made with
-new_var(decision=False): the inputs determine them, so a solver never
-branches on them. Each clause above has at most one positive literal over
-the created variables (the output or rung it implies), which is the
-contract under which satcore.SatSolver reads an unset non-decision
-variable as False and still returns a model of every clause. A sink that
-does not branch, such as CnfBuffer, ignores the flag.
+Every variable the GTE creates (outputs, rungs, order variables and
+selectors) is made with new_var(decision=False): the inputs or an
+assumption determine them, so a solver never branches on them. Each clause
+above has at most one positive literal over the created variables (the
+output, rung or order variable it implies; a staircase clause has none),
+which is the contract under which satcore.SatSolver reads an unset
+non-decision variable as False and still returns a model of every clause.
+A sink that does not branch, such as CnfBuffer, ignores the flag.
 
-Bounds support incremental tightening only: they may decrease but never
-relax, matching a linear search that only ever shrinks its target. An
-encoding is tied to the solver (or clause sink) it was built into.
+set_bound supports incremental tightening only: a frozen bound may
+decrease but never relax, matching a linear search that only ever shrinks
+its target. An encoding is tied to the solver (or clause sink) it was
+built into.
 """
 
 from __future__ import annotations
@@ -61,7 +74,10 @@ class EncodingTooLarge(ValueError):
 
 class EncodingInterrupted(Exception):
     """The budget ran out while a GTE was being built; the sink keeps the
-    clauses emitted so far, none if it ran out while sizing."""
+    clauses emitted so far, self.clauses of them (0 if it ran out while
+    sizing)."""
+
+    clauses = 0
 
 
 def _poll(budget) -> None:
@@ -93,13 +109,15 @@ class CnfBuffer:
 
 
 class GeneralizedTotalizer:
-    """Weighted unary counter over (literal, positive weight) inputs.
+    """Weighted unary counter over (literal, positive weight) inputs,
+    bounded from above.
 
-    Root outputs live in self.sums as ascending (sum, literal) pairs for
-    every distinct reachable sum <= max_bound, and the built encoding
-    forbids every sum above max_bound. An encoding charged over
-    MAX_GTE_CLAUSES raises EncodingTooLarge and leaves the sink untouched;
-    a budget that runs out mid-build raises EncodingInterrupted.
+    The built encoding forbids every weighted sum above max_bound;
+    set_bound(b) forbids every sum above b for good, and at_most(b)
+    returns a selector literal under which sums above b are forbidden. An
+    encoding charged over MAX_GTE_CLAUSES raises EncodingTooLarge and
+    leaves the sink untouched; a budget that runs out mid-build raises
+    EncodingInterrupted. self.clauses counts the clauses emitted so far.
     """
 
     def __init__(self, items, max_bound: int, sink, *, budget=None):
@@ -112,8 +130,44 @@ class GeneralizedTotalizer:
             raise ValueError("max_bound must be >= 0")
         self.max_bound = max_bound
         self.bound: int | None = None
-        plan = self._plan(pairs, [0], budget)
-        self.sums = self._emit(pairs, plan, sink, budget)
+        self.clauses = 0
+        # the root's children; a lone input is a left child without a sibling
+        half = len(pairs) // 2 or 1
+        left, right = pairs[:half], pairs[half:]
+        size = [0]
+        lplan = self._plan(left, size, budget)
+        if right:
+            rplan = self._plan(right, size, budget)
+            _poll(budget)
+            self._charge(size, len(lplan[0]), len(rplan[0]), lplan[1] + rplan[1])
+        try:
+            lsums = self._emit(left, lplan, sink, budget)
+            rsums = self._emit(right, rplan, sink, budget) if right else []
+            _poll(budget)
+        except EncodingInterrupted as e:
+            e.clauses = self.clauses
+            raise
+        # the staircase's rows: every left sum, 0 (no literal) included
+        self._rows = [(0, None)] + [(s, -l) for s, l in lsums]
+        self._rsums = [s for s, _ in rsums]
+        # u[j]: the right sum reaches rsums[j]
+        self._u = [sink.new_var(decision=False) for _ in rsums]
+        for (_, lit), u in zip(rsums, self._u):
+            sink.add_clause([-lit, u])
+        for lo, hi in zip(self._u, self._u[1:]):
+            sink.add_clause([-hi, lo])
+        self.clauses += 2 * len(rsums) - bool(rsums)
+        # no sum passes the total weight, so its staircase is empty
+        self._staircase(max_bound, sum(w for _, w in pairs), sink, [])
+
+    @staticmethod
+    def _charge(size, nl, nr, over) -> None:
+        """Add a merge node's charge for children of nl and nr sums, over of
+        which can pass max_bound, to size[0]; raise EncodingTooLarge if the
+        total passes the cap."""
+        size[0] += nl + nr + nl * nr + over
+        if size[0] > MAX_GTE_CLAUSES:
+            raise EncodingTooLarge(f"encoding over {MAX_GTE_CLAUSES} clauses")
 
     def _plan(self, pairs, size, budget):
         """Pass 1 over the subtree on pairs: (its ascending sums <= max_bound,
@@ -131,9 +185,7 @@ class GeneralizedTotalizer:
         _poll(budget)
         lsums, lover = left[0], left[1]
         rsums, rover = right[0], right[1]
-        size[0] += len(lsums) + len(rsums) + len(lsums) * len(rsums) + lover + rover
-        if size[0] > MAX_GTE_CLAUSES:
-            raise EncodingTooLarge(f"encoding over {MAX_GTE_CLAUSES} clauses")
+        self._charge(size, len(lsums), len(rsums), lover + rover)
         reach = set(lsums)
         reach.update(rsums)
         for sa in lsums:
@@ -154,6 +206,7 @@ class GeneralizedTotalizer:
             lit = pairs[0][0]
             if not sums:  # heavier than max_bound on its own
                 sink.add_clause([-lit])
+                self.clauses += 1
                 return []
             return [(sums[0], lit)]
         half = len(pairs) // 2
@@ -185,37 +238,75 @@ class GeneralizedTotalizer:
         steps = list(rung)
         for lo, hi in zip(steps, steps[1:]):
             sink.add_clause([-rung[hi], rung[lo]])
+        # the outputs' clauses, one link per right output from the lowest
+        # rung up, and the rungs' chain
+        self.clauses += (len(lneg) + 2 * len(rneg) - min(steps, default=len(rneg))
+                         + max(len(steps) - 1, 0))
         for (sa, na), fit in zip(lneg, cuts):
             _poll(budget)
             for sb, nb in rneg[:fit]:
                 sink.add_clause([na, nb, out[sa + sb]])
             if fit < len(rneg):
                 sink.add_clause([na, -rung[fit]])
+            self.clauses += fit + (fit < len(rneg))
         return [(s, out[s]) for s in sums]
 
-    def set_bound(self, b: int, sink) -> None:
-        """Enforce "weighted sum <= b". Tightening only; b <= max_bound."""
+    def _staircase(self, b, since, sink, guard) -> None:
+        """Emit, each after the literals of guard, the clauses of "sum <= b"
+        that the staircase for since >= b lacks. Row sa gets [-a_sa] if
+        sa > b, else [-a_sa, -u[cut]] with cut the least right index whose
+        sum takes sa past b, if there is one."""
+        rsums, u = self._rsums, self._u
+        for sa, na in self._rows:
+            if sa > since:
+                break  # rows ascend: this one and the rest are forbidden already
+            if sa > b:
+                clause = [na]
+            else:
+                cut = bisect_right(rsums, b - sa)
+                if cut == bisect_right(rsums, since - sa):
+                    continue  # the same clause, or none at all
+                clause = [-u[cut]] if na is None else [na, -u[cut]]
+            sink.add_clause(guard + clause)
+            self.clauses += 1
+
+    def _check(self, b: int) -> None:
         if b < 0:
             raise ValueError("bound must be >= 0")
         if b > self.max_bound:
             raise ValueError(f"bound {b} exceeds encoding cap {self.max_bound}")
+
+    def set_bound(self, b: int, sink) -> None:
+        """Enforce "weighted sum <= b" for good. Tightening only;
+        b <= max_bound."""
+        self._check(b)
         if self.bound is not None and b >= self.bound:
             raise ValueError(f"bound can only tighten: {b} >= {self.bound}")
-        upper = self.bound if self.bound is not None else self.max_bound
-        for s, lit in self.sums:
-            if b < s <= upper:
-                sink.add_clause([-lit])
+        self._staircase(b, self._frozen(), sink, [])
         self.bound = b
+
+    def at_most(self, b: int, sink) -> int:
+        """A fresh selector literal t with "t implies weighted sum <= b";
+        0 <= b <= max_bound. Assume t to search under the bound, then add
+        [-t] to retire it or [t] to keep the bound."""
+        self._check(b)
+        t = sink.new_var(decision=False)
+        frozen = self._frozen()
+        self._staircase(min(b, frozen), frozen, sink, [-t])
+        return t
+
+    def _frozen(self) -> int:
+        """The bound every model obeys: the last set_bound, else max_bound."""
+        return self.bound if self.bound is not None else self.max_bound
 
 
 class Totalizer(GeneralizedTotalizer):
     """Unary cardinality counter over distinct input literals: the
-    unit-weight GeneralizedTotalizer capped at the input count, with
-    self.outputs[j-1] the root output for "at least j inputs true"."""
+    unit-weight GeneralizedTotalizer capped at the input count, so that
+    set_bound(k) enforces "at most k inputs true"."""
 
     def __init__(self, inputs, sink):
         lits = [int(l) for l in inputs]
         if len(set(lits)) != len(lits):
             raise ValueError("totalizer inputs must be distinct")
         super().__init__([(l, 1) for l in lits], len(lits), sink)
-        self.outputs = [lit for _, lit in self.sums]

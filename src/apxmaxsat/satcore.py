@@ -34,7 +34,7 @@ not yet satisfied has at least two unassigned literals, all over
 non-decision variables, so at least one of them is negative and reading
 False satisfies it. Learned clauses follow from the clauses added, so the
 model satisfies them too; UNSAT answers do not depend on branching at all.
-Encoder outputs meet this contract (see encodings).
+The variables the encoders make meet this contract (see encodings).
 
 A solve call may take a Budget, which it charges with its conflicts and
 polls on entry, after every conflict and every 1024 decisions; exhaustion

@@ -19,9 +19,11 @@ first model is found and capped at that model's value c, the first bound,
 which the encoding enforces as it is built. For apx-subprob's unit weights
 this is the Totalizer counter capped at the cluster's first count. The
 solver branches only on the original and relaxation variables: the
-encoder's outputs are non-decision variables (see satcore and encodings),
-which propagation alone sets from the relaxation variables, so a model's
-objective value reads the same whether or not an output was left unset.
+encoder's variables are non-decision variables (see satcore and
+encodings), which propagation alone sets from the relaxation variables, so
+a model's objective value reads the same whether or not one was left
+unset. SearchReport.encoders records each build: its inputs, the clauses
+and variables it made, and whether the cap refused it.
 
 No encoding is charged past encodings.MAX_GTE_CLAUSES (see encodings).
 When apx-weight's would be, the search falls back to coarser weights, the
@@ -37,10 +39,13 @@ exact: it minimized coarser weights than the configured ones. SearchReport
 records the m searched and each fallback.
 
 On a model whose objective value is c, "<= c" is frozen as hard clauses
-and the solver is called again assuming "<= c-1". A model found that way
-lowers c; unsatisfiability under the assumption means c is the minimum
-given every earlier objective's frozen bound, and the search moves on to
-the next objective, starting from the last model. Nothing is rebuilt
+and the solver is called again assuming the selector of "<= c-1" (see
+encodings.GeneralizedTotalizer.at_most). A model found that way lowers c,
+and the selector becomes a hard unit, since every later bound is tighter;
+unsatisfiability under it means c is the minimum given every earlier
+objective's frozen bound, the selector is retired by its negated unit, and
+the search moves on to the next objective, starting from the last model.
+So no selector is left unassigned after its call. Nothing is rebuilt
 between objectives, so learned clauses carry over.
 
 The search fills one SearchReport as it goes: the best model seen by true
@@ -59,7 +64,6 @@ loading.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -107,6 +111,18 @@ class SearchConfig:
 
 
 @dataclass
+class EncoderBuild:
+    """One bound encoding built, or refused, for an objective: its input
+    count, and the clauses and variables it added to the solver (0 when
+    refused; so far, when the budget interrupted it)."""
+
+    inputs: int
+    clauses: int
+    variables: int
+    refused: bool = False
+
+
+@dataclass
 class SearchReport:
     """Outcome of one search, filled in as the search runs: best model (or
     None), a status, elapsed wall-clock seconds of the whole search, and the
@@ -120,9 +136,10 @@ class SearchReport:
     soft clauses, until a fallback retries a smaller one; None on a report
     no search filled. fallbacks lists, in order, each m whose encoding was
     over the cap with the m retried after it, None where the search stopped
-    instead. solver_stats is a copy of the solver's final stats (conflicts,
-    decisions, propagations, restarts, reductions), empty when no solver
-    was built."""
+    instead. encoders lists every encoder build in order (see
+    EncoderBuild). solver_stats is a copy of the solver's final stats
+    (conflicts, decisions, propagations, restarts, reductions), empty when
+    no solver was built."""
 
     best: wcnf.Model | None
     status: str
@@ -132,6 +149,7 @@ class SearchReport:
     exact: bool = False
     clusters: int | None = None
     fallbacks: list[tuple[int, int | None]] = field(default_factory=list)
+    encoders: list[EncoderBuild] = field(default_factory=list)
     solver_stats: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -225,11 +243,15 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                     solver.add_clause([-r])
                 break
             if enc is None:
+                made = solver.num_vars
                 try:
                     enc = GeneralizedTotalizer(items, c, solver, budget=budget)
-                except EncodingInterrupted:
+                except EncodingInterrupted as e:
+                    report.encoders.append(EncoderBuild(
+                        len(items), e.clauses, solver.num_vars - made))
                     return finish(SATISFIABLE)
                 except EncodingTooLarge:
+                    report.encoders.append(EncoderBuild(len(items), 0, 0, True))
                     refused = len(part.clusters)
                     # unit-weight counters have no coarser weights to fall to
                     if not weighted or refused == 1:
@@ -243,10 +265,12 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                     report.best = replace(report.best, approx_cost=wcnf.cost(
                         f, report.best.assignment, weights=scheme.weight_m))
                     continue
+                report.encoders.append(EncoderBuild(
+                    len(items), enc.clauses, solver.num_vars - made))
             enc.set_bound(c, solver)
-            # with "<= c" frozen, the negated root output for sum c is "<= c-1"
-            at_c = enc.sums[bisect_left(enc.sums, (c,))][1]
-            st, found = solver.solve([-at_c], budget)
+            below = enc.at_most(c - 1, solver)
+            st, found = solver.solve([below], budget)
+            solver.add_clause([below if st is Status.SAT else -below])
             if st is Status.UNKNOWN:
                 return finish(SATISFIABLE)  # best holds the first model at least
             if st is Status.UNSAT:

@@ -15,7 +15,7 @@ Formulas are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 
 
@@ -63,18 +63,25 @@ class WcnfFormula:
     soft holds (clause, weight) pairs in input order; the soft-clause index
     is its stable identity. Duplicate soft clauses stay distinct (weights are
     never merged). Weights are plain Python ints, so arbitrary-precision
-    totals are exact.
+    totals are exact. A clause variable above num_vars raises ValueError,
+    unless grow_vars is set: then num_vars grows to the largest variable,
+    found in the same walk over the literals.
     """
 
     num_vars: int
     hard: list[Clause]
     soft: list[tuple[Clause, int]]
     warnings: list[str] = field(default_factory=list, compare=False)
+    grow_vars: InitVar[bool] = False
 
-    def __post_init__(self):
-        if _max_var(self.hard) > self.num_vars:
+    def __post_init__(self, grow_vars):
+        hard_top = _max_var(self.hard)
+        soft_top = _max_var(c for c, _ in self.soft)
+        if grow_vars:
+            self.num_vars = max(self.num_vars, hard_top, soft_top)
+        if hard_top > self.num_vars:
             raise ValueError("hard clause variable exceeds num_vars")
-        if _max_var(c for c, _ in self.soft) > self.num_vars:
+        if soft_top > self.num_vars:
             raise ValueError("soft clause variable exceeds num_vars")
         if any(w < 1 for _, w in self.soft):
             raise ValueError("soft weight must be >= 1")
@@ -169,8 +176,7 @@ def parse_wcnf(text) -> WcnfFormula:
     found = len(hard) + len(soft)
     if found != nclauses:
         warnings.append(f"header declares {nclauses} clauses, found {found}")
-    max_var = max(_max_var(hard), _max_var(c for c, _ in soft))
-    return WcnfFormula(max(nvars, max_var), hard, soft, warnings)
+    return WcnfFormula(nvars, hard, soft, warnings, grow_vars=True)
 
 
 def serialize_wcnf(f: WcnfFormula) -> str:

@@ -126,6 +126,30 @@ def test_verbose_prints_each_fallback_to_coarser_clusters(tmp_path):
         line for line in r.stdout.splitlines() if not line.startswith("c ")) + "\n"
 
 
+def test_verbose_prints_each_encoder_build(tmp_path, e1_path):
+    # the 20 units of the fallback test above: the exact build is refused
+    # and the one at m=10 fits; e1's exact GTE over its 2 soft clauses fits
+    n = 20
+    f = wcnf.WcnfFormula(n, [wcnf.Clause.of([2 * i + 1, 2 * i + 2]) for i in range(n // 2)],
+                         [(wcnf.Clause.of([-v]), 1 << (v - 1)) for v in range(1, n + 1)])
+    p = tmp_path / "wide.wcnf"
+    p.write_text(wcnf.serialize_wcnf(f))
+    r = run_cli("solve", str(p), "--algorithm", "apx-weight", "--clusters", "0",
+                "--verbosity", "1")
+    lines = [line for line in r.stdout.splitlines() if line.startswith("c encod")]
+    assert lines[:2] == ["c encoder inputs=20 clauses=0 variables=0 refused=1",
+                         "c encoding over 262144 clauses at m=20; retrying at m=10"]
+    built = [dict(token.split("=") for token in line.split()[2:])
+             for line in lines[2:]]
+    assert len(built) == 1 and built[0]["inputs"] == "20" and built[0]["refused"] == "0"
+    assert int(built[0]["clauses"]) > 0 and int(built[0]["variables"]) > 0
+    r = run_cli("solve", e1_path, "--algorithm", "apx-weight", "--clusters", "0",
+                "--verbosity", "1")
+    assert [line.split()[:3] for line in r.stdout.splitlines()
+            if line.startswith("c encoder ")] == [["c", "encoder", "inputs=2"]]
+    assert "c encoder" not in run_cli("solve", e1_path).stdout
+
+
 def test_verbose_prints_the_solver_stats(e1_path):
     r = run_cli("solve", e1_path, "--algorithm", "apx-weight", "--clusters", "0",
                 "--verbosity", "1")

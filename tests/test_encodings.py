@@ -29,33 +29,36 @@ def buffer_models(buf):
 # ----------------------------------------------------------------------
 # totalizer
 
+def assert_every_bound(weights, max_bound, make):
+    """For every b <= max_bound, the input projections of a fresh encoding
+    made by make(sink) over inputs 1..n are the input sets of weight <= b
+    under set_bound(b) and under at_most(b)'s selector, and those of weight
+    <= max_bound with the selector retired."""
+    inputs = range(1, len(weights) + 1)
+    for b in range(max_bound + 1):
+        frozen = CnfBuffer(len(weights))
+        make(frozen).set_bound(b, frozen)
+        assert projected_models(frozen.clauses, inputs) == arithmetic_models(weights, b)
+        tried = CnfBuffer(len(weights))
+        t = make(tried).at_most(b, tried)
+        for unit, bound in (((t,), b), ((-t,), max_bound)):
+            assert projected_models(tried.clauses + [unit], inputs) \
+                == arithmetic_models(weights, bound)
+
+
 def test_totalizer_three_inputs_output_semantics():
-    buf = CnfBuffer(3)
-    tot = Totalizer([1, 2, 3], buf)
-    assert len(tot.outputs) == 3
-    for a in buffer_models(buf):
-        true_inputs = sum(a[v] for v in (1, 2, 3))
-        for j in range(1, 4):
-            if true_inputs >= j:
-                assert a[abs(tot.outputs[j - 1])] == (tot.outputs[j - 1] > 0)
+    assert_every_bound([1, 1, 1], 3, lambda buf: Totalizer([1, 2, 3], buf))
 
 
 def test_totalizer_single_input_is_identity():
     buf = CnfBuffer(1)
-    tot = Totalizer([1], buf)
-    assert tot.outputs == [1]
-    assert buf.clauses == []
+    Totalizer([1], buf)
+    assert (buf.num_vars, buf.clauses) == (1, [])  # the input bounds itself
+    assert_every_bound([1], 1, lambda buf: Totalizer([1], buf))
 
 
 def test_totalizer_two_inputs_implications():
-    buf = CnfBuffer(2)
-    tot = Totalizer([1, 2], buf)
-    o1, o2 = tot.outputs
-    for a in buffer_models(buf):
-        if a[1] or a[2]:
-            assert a[o1]
-        if a[1] and a[2]:
-            assert a[o2]
+    assert_every_bound([1, 1], 2, lambda buf: Totalizer([1, 2], buf))
 
 
 def test_totalizer_bound_one_of_three():
@@ -106,8 +109,9 @@ def test_gte_two_weights_overflow_collapse():
     # 2 + 3 passes max_bound 3: the build alone forbids the pair
     buf = CnfBuffer(2)
     gte = GeneralizedTotalizer([(1, 2), (2, 3)], 3, buf)
-    assert [s for s, _ in gte.sums] == [2, 3]
     assert not hasattr(gte, "overflow")
+    assert_every_bound([2, 3], 3,
+                       lambda buf: GeneralizedTotalizer([(1, 2), (2, 3)], 3, buf))
     projections = {tuple(v for v in (1, 2) if a[v]) for a in buffer_models(buf)}
     assert projections == {(), (1,), (2,)}
     gte.set_bound(3, buf)  # at max_bound: nothing left to forbid
@@ -115,21 +119,20 @@ def test_gte_two_weights_overflow_collapse():
 
 
 def test_gte_unit_weights_degenerate_to_counter():
-    buf = CnfBuffer(3)
-    gte = GeneralizedTotalizer([(1, 1), (2, 1), (3, 1)], 3, buf)
-    assert [s for s, _ in gte.sums] == [1, 2, 3]
-    for a in buffer_models(buf):
-        k = sum(a[v] for v in (1, 2, 3))
-        for s, lit in gte.sums:
-            if k >= s:
-                assert a[lit]
+    buf, card = CnfBuffer(3), CnfBuffer(3)
+    GeneralizedTotalizer([(1, 1), (2, 1), (3, 1)], 3, buf)
+    Totalizer([1, 2, 3], card)
+    assert buf.clauses == card.clauses
+    assert_every_bound([1, 1, 1], 3, lambda buf: GeneralizedTotalizer(
+        [(1, 1), (2, 1), (3, 1)], 3, buf))
 
 
 def test_gte_single_heavy_input_forced_false():
     buf = CnfBuffer(1)
-    gte = GeneralizedTotalizer([(1, 4)], 3, buf)
-    assert gte.sums == [] and buf.clauses == [(-1,)]
+    GeneralizedTotalizer([(1, 4)], 3, buf)
+    assert buf.clauses == [(-1,)]
     assert [a[1] for a in buffer_models(buf)] == [False]
+    assert_every_bound([4], 3, lambda buf: GeneralizedTotalizer([(1, 4)], 3, buf))
 
 
 def test_gte_bounds_between_sums_equivalent():
@@ -156,6 +159,10 @@ def test_gte_contract_errors():
     gte.set_bound(3, buf)
     with pytest.raises(ValueError):
         gte.set_bound(4, buf)
+    for b in (-1, 6):  # a selector's bound lies in [0, max_bound] too
+        with pytest.raises(ValueError):
+            gte.at_most(b, buf)
+    gte.at_most(4, buf)  # looser than the frozen bound, so it adds nothing
 
 
 # ----------------------------------------------------------------------
@@ -234,10 +241,10 @@ def test_gte_size_grows_with_distinct_weights():
 
 
 @pytest.mark.parametrize("seed, clauses, num_vars, digest", [
-    pytest.param(0, 1670, 378, "6647e226d53cafa7", id="seed0"),
-    pytest.param(1, 235, 126, "7fc7b4073bffe232", id="seed1"),
-    pytest.param(2, 76, 57, "10bda26f4b27e4ed", id="seed2"),
-    pytest.param(3, 334, 162, "712aee68d63cea2e", id="seed3"),
+    pytest.param(0, 374, 203, "b3969f6ef9b8fbe4", id="seed0"),
+    pytest.param(1, 100, 65, "f29af3e23285afc9", id="seed1"),
+    pytest.param(2, 41, 32, "8a2fd148360fb2fc", id="seed2"),
+    pytest.param(3, 139, 88, "af66a8de86b84bda", id="seed3"),
 ])
 def test_gte_clause_list_is_pinned(seed, clauses, num_vars, digest):
     # the exact clause sequence the solver's search paths depend on
@@ -247,15 +254,16 @@ def test_gte_clause_list_is_pinned(seed, clauses, num_vars, digest):
     buf = CnfBuffer(len(items))
     gte = GeneralizedTotalizer(items, sum(w for _, w in items) // 2, buf)
     gte.set_bound(sum(w for _, w in items) // 3, buf)
+    gte.at_most(sum(w for _, w in items) // 3 - 1, buf)  # as the search asks next
     assert (len(buf.clauses), buf.num_vars) == (clauses, num_vars)
     assert hashlib.sha256(repr(buf.clauses).encode()).hexdigest()[:16] == digest
 
 
 def one_pass_gte(items, max_bound, sink):
     """The one-pass merge-tree builder that sizing before emitting split
-    in two, kept as the reference for the clauses and variables the GTE
-    makes and for the charge its cap counts. Returns its root sums and the
-    charge."""
+    in two, with the root's staircase for max_bound, kept as the reference
+    for the clauses and variables the GTE makes and for the charge its cap
+    counts. Returns the charge."""
     charge = 0
 
     def build(pairs):  # -> (sums, whether the inputs can pass max_bound)
@@ -299,8 +307,25 @@ def one_pass_gte(items, max_bound, sink):
                 sink.add_clause([-la, -rung[cut[sa]]])
         return [(s, out[s]) for s in sorted(reach)], over
 
-    sums, _ = build([(int(l), int(w)) for l, w in items])
-    return sums, charge
+    # the root: a left child and, unless there is one input, a right one,
+    # charged as a merge node; an order variable per right sum and a
+    # staircase row per left sum, 0 included
+    pairs = [(int(l), int(w)) for l, w in items]
+    half = len(pairs) // 2 or 1
+    lsums, lover = build(pairs[:half])
+    rsums, rover = build(pairs[half:]) if pairs[half:] else ([], False)
+    if pairs[half:]:
+        charge += len(lsums) + len(rsums) + len(lsums) * len(rsums) + lover + rover
+    u = [sink.new_var() for _ in rsums]
+    for (_, lb), uj in zip(rsums, u):
+        sink.add_clause([-lb, uj])
+    for lo, hi in zip(u, u[1:]):
+        sink.add_clause([-hi, lo])
+    for sa, la in [(0, None)] + lsums:
+        over = [j for j, (sb, _) in enumerate(rsums) if sa + sb > max_bound]
+        if over:
+            sink.add_clause(([] if la is None else [-la]) + [-u[over[0]]])
+    return charge
 
 
 def test_gte_matches_one_pass_reference_seeded_trials():
@@ -312,9 +337,14 @@ def test_gte_matches_one_pass_reference_seeded_trials():
         cap = rng.randint(0, sum(weights))
         two_pass, one_pass = CnfBuffer(len(items)), CnfBuffer(len(items))
         gte = GeneralizedTotalizer(items, cap, two_pass)
-        assert gte.sums == one_pass_gte(items, cap, one_pass)[0]
+        one_pass_gte(items, cap, one_pass)
         assert two_pass.clauses == one_pass.clauses
         assert two_pass.num_vars == one_pass.num_vars
+        assert gte.clauses == len(two_pass.clauses)
+        gte.at_most(rng.randint(0, cap), two_pass)
+        if cap:
+            gte.set_bound(rng.randint(0, cap - 1), two_pass)
+        assert gte.clauses == len(two_pass.clauses)  # counts every clause it adds
 
 
 def test_gte_cap_counts_the_charge(monkeypatch):
@@ -326,7 +356,7 @@ def test_gte_cap_counts_the_charge(monkeypatch):
         items = list(zip(range(1, len(weights) + 1), weights))
         cap = rng.randint(0, sum(weights))
         reference = CnfBuffer(len(items))
-        charge = one_pass_gte(items, cap, reference)[1]
+        charge = one_pass_gte(items, cap, reference)
         monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", charge)
         at_cap = CnfBuffer(len(items))
         GeneralizedTotalizer(items, cap, at_cap)
@@ -341,7 +371,8 @@ def test_gte_cap_counts_the_charge(monkeypatch):
 
 def test_gte_clauses_hold_at_most_one_positive_created_literal():
     # the condition under which SatSolver reads an unset non-decision
-    # variable as False: outputs and rungs count as created variables
+    # variable as False: outputs, rungs, order variables and selectors
+    # count as created variables
     rng = random.Random(5150)
     for trial in range(100):
         weights = random_weights(rng, max_inputs=16, max_weight=60)
@@ -353,6 +384,7 @@ def test_gte_clauses_hold_at_most_one_positive_created_literal():
         gte = GeneralizedTotalizer(items, cap, buf)
         if cap:
             gte.set_bound(rng.randint(0, cap - 1), buf)
+        gte.at_most(rng.randint(0, cap), buf)
         assert all(sum(l > n for l in c) <= 1 for c in buf.clauses)
 
 
@@ -375,10 +407,22 @@ def test_gte_fidelity_objective_emits_well_under_its_charge():
     items = [(v, w) for v, (_, w) in enumerate(f.soft, start=1)]
     first_bound = sum(w for _, w in f.soft[0:16:2])
     reference = CnfBuffer(len(items))
-    charge = one_pass_gte(items, first_bound, reference)[1]
+    charge = one_pass_gte(items, first_bound, reference)
     buf = CnfBuffer(len(items))
     GeneralizedTotalizer(items, first_bound, buf)
     assert len(buf.clauses) < 0.4 * charge
+
+
+def test_gte_root_emits_a_fraction_of_its_charge():
+    # 14 distinct weights at half their total: the root is charged one
+    # clause per pair of its children's sums, and emits about |L| + 2|R|
+    rng = random.Random(14)
+    items = list(zip(range(1, 15), rng.sample(range(1, 10 ** 6 + 1), 14)))
+    cap = sum(w for _, w in items) // 2
+    charge = one_pass_gte(items, cap, CnfBuffer(14))
+    buf = CnfBuffer(14)
+    GeneralizedTotalizer(items, cap, buf)
+    assert len(buf.clauses) < 0.1 * charge
 
 
 def test_gte_over_cap_leaves_sink_untouched():
@@ -394,8 +438,7 @@ def test_gte_build_stops_when_the_budget_runs_out():
     items = [(v, v) for v in range(1, 13)]
     polls = []
     full = CnfBuffer(12)
-    gte = GeneralizedTotalizer(items, 78, full,
-                               budget=Budget(stop=lambda: polls.append(None)))
+    GeneralizedTotalizer(items, 78, full, budget=Budget(stop=lambda: polls.append(None)))
     for last in (len(items), len(polls)):  # the first and last poll while emitting
         seen = []
 
@@ -404,14 +447,18 @@ def test_gte_build_stops_when_the_budget_runs_out():
             return len(seen) >= last
 
         buf = CnfBuffer(12)
-        with pytest.raises(EncodingInterrupted):
+        with pytest.raises(EncodingInterrupted) as stopped:
             GeneralizedTotalizer(items, 78, buf, budget=Budget(stop=stop))
         assert buf.clauses == full.clauses[:len(buf.clauses)] != full.clauses
-    # polled once per row: stopped at the last poll, only the root's last
-    # row of (sum, sum) clauses is missing
-    assert len(full.clauses) - len(buf.clauses) < len(gte.sums)
-    with pytest.raises(EncodingInterrupted):
+        assert stopped.value.clauses == len(buf.clauses)
+    # the root is polled once, before it makes anything: stopped at the last
+    # poll, exactly the clauses over the root's order variables are missing
+    assert full.clauses[len(buf.clauses):] == [
+        c for c in full.clauses if any(abs(l) > buf.num_vars for l in c)]
+    assert buf.num_vars < full.num_vars
+    with pytest.raises(EncodingInterrupted) as stopped:
         GeneralizedTotalizer(items, 78, CnfBuffer(12), budget=Budget(timeout_s=0))
+    assert stopped.value.clauses == 0  # stopped while sizing
 
 
 # ----------------------------------------------------------------------
@@ -456,17 +503,27 @@ def test_gte_in_solver_agrees_with_enumeration(case, seed):
     for c in clauses:
         sink.add_clause(c)
     gte = GeneralizedTotalizer(items, cap, sink)
-    # every variable the encoder made is left to propagation
-    assert not any(solver.decision[n + 1:])
+
+    def fits(b):
+        return any(all(clause_sat(c, a) for c in clauses)
+                   and sum(w for l, w in items if clause_sat([l], a)) <= b
+                   for a in all_assignments(n))
+
     for b in bounds:  # tightened in place, as the search does
         gte.set_bound(b, sink)
-        expected = any(all(clause_sat(c, a) for c in clauses)
-                       and sum(w for l, w in items if clause_sat([l], a)) <= b
-                       for a in all_assignments(n))
         st_, model = solver.solve()
-        assert st_ is (Status.SAT if expected else Status.UNSAT)
+        assert st_ is (Status.SAT if fits(b) else Status.UNSAT)
         if st_ is Status.SAT:  # encoding clauses included
             assert all(clause_sat(c, model) for c in sink.clauses)
+        if b:  # then "<= b-1" under a selector, kept or retired by the answer
+            t = gte.at_most(b - 1, sink)
+            st_, model = solver.solve([t])
+            assert st_ is (Status.SAT if fits(b - 1) else Status.UNSAT)
+            if st_ is Status.SAT:
+                assert all(clause_sat(c, model) for c in sink.clauses)
+            sink.add_clause([t if st_ is Status.SAT else -t])
+    # every variable the encoder made is left to propagation
+    assert not any(solver.decision[n + 1:])
 
 
 def test_cnf_buffer_dimacs():
@@ -475,3 +532,35 @@ def test_cnf_buffer_dimacs():
     v = buf.new_var()
     buf.add_clause([-v])
     assert buf.to_dimacs() == "p cnf 3 2\n1 -2 0\n-3 0\n"
+
+
+@settings(max_examples=150)
+@given(cnf_and_gte(max_vars=6), st.integers(0, 3))
+def test_gte_selector_bounds_every_b_and_retires(case, seed):
+    # for every b, a model under at_most(b)'s selector exists exactly when
+    # one of weight <= b does, every such model weighs <= b, and once the
+    # selector is retired the models are those of the encoding as built
+    n, clauses, items, cap, _ = case
+    solver = SatSolver(n, seed=seed)
+    for c in clauses:
+        solver.add_clause(c)
+    gte = GeneralizedTotalizer(items, cap, solver)
+
+    def weight(a):
+        return sum(w for l, w in items if clause_sat([l], a))
+
+    fitting = [a for a in all_assignments(n)
+               if all(clause_sat(c, a) for c in clauses) and weight(a) <= cap]
+    for b in range(cap + 1):
+        t = gte.at_most(b, solver)
+        st_, model = solver.solve([t])
+        assert st_ is (Status.SAT if any(weight(a) <= b for a in fitting)
+                       else Status.UNSAT)
+        if st_ is Status.SAT:
+            assert weight(model) <= b
+        solver.add_clause([-t])
+    models = set()
+    for a in all_assignments(n):
+        if solver.solve([v if a[v] else -v for v in range(1, n + 1)])[0] is Status.SAT:
+            models.add(tuple(sorted(a.items())))
+    assert models == {tuple(sorted(a.items())) for a in fitting}

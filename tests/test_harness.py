@@ -254,6 +254,8 @@ def test_report_json_and_table(tmp_path):
     assert set(rec["solver_stats"]) == {"conflicts", "decisions", "propagations",
                                         "restarts", "reductions"}
     assert rec["solver_stats"]["propagations"] > 0
+    # one exact build over e1's two soft clauses
+    assert [(e["inputs"], e["refused"]) for e in rec["encoders"]] == [(2, False)]
     text = table.table_text()
     assert "avg-score" in text and "apx-subprob/m=weights" in text
 

@@ -514,17 +514,22 @@ def digest(rows) -> str:
 
 
 def decisions_digest(reports):
-    """A digest of what a search decides in some reports: status, trace
-    costs, bounds, exact, clusters and fallbacks."""
-    return digest([(r.status, [c for _, c in r.trace], r.bounds, r.exact,
-                    r.clusters, r.fallbacks) for r in reports])
+    """A digest of what a search decides in some reports: status, bounds,
+    exact, clusters, fallbacks, and the final cost of an exact report,
+    which any optimum shares."""
+    return digest([(r.status, r.bounds, r.exact, r.clusters, r.fallbacks,
+                    r.cost if r.exact else None) for r in reports])
 
 
 def path_digest(reports):
-    """A digest of the way a search went in some reports: solver stats and
-    the best assignment."""
+    """A digest of the way a search went in some reports: solver stats, the
+    best assignment, and the trace costs that the decisions digest leaves
+    out (all of them on a report that is not exact, where the model found
+    depends on the path, and all but the last on an exact one)."""
     return digest([(sorted(r.solver_stats.items()),
-                    r.best and sorted(r.best.assignment.items())) for r in reports])
+                    r.best and sorted(r.best.assignment.items()),
+                    [c for _, c in r.trace][:-1 if r.exact else None])
+                   for r in reports])
 
 
 def test_search_reports_are_pinned(monkeypatch):
@@ -543,21 +548,21 @@ def test_search_reports_are_pinned(monkeypatch):
     rng = seeded_rng(8080)
     got["capped"] = run([harness.random_wcnf(rng) for _ in range(6)])
     # what the search decides is pinned apart from the way it went (solver
-    # stats and best models): a change to the clauses the encoder emits
-    # moves the path, and only rarely a decision
+    # stats, models and the costs they reach short of a proven optimum): a
+    # change to the clauses the encoder emits moves the path, not a decision
     decisions = {k: v[:3] for k, v in got.items()}
     paths = {k: v[3:] for k, v in got.items()}
     # (reports, fallbacks, decisions digest)
     assert decisions == {
-        "random": (54, 0, "0ebafce92569737a"),
-        "fidelity": (9, 0, "150048f528d98fd2"),
-        "three-tier": (9, 4, "80edf42be026c7a7"),
-        "capped": (54, 31, "a23eccbbe74cc8a2"),
+        "random": (54, 0, "12c7213e2f7cc745"),
+        "fidelity": (9, 0, "5cd3972dd2043f19"),
+        "three-tier": (9, 4, "b796d43d323b6417"),
+        "capped": (54, 31, "f0daf8dac6e0a4f4"),
     }
     # (conflicts, path digest)
     assert paths == {
-        "random": (12, "a443b47f8ae6febd"),
-        "fidelity": (249, "8acf395b0473feb0"),
-        "three-tier": (407, "0ca70f12e551bfd9"),
-        "capped": (1, "a4a6613f42e5b929"),
+        "random": (12, "cff3371fd7704816"),
+        "fidelity": (253, "6f8e920d7ed78e11"),
+        "three-tier": (411, "502152ad74745c4f"),
+        "capped": (1, "727cbd90196d3efa"),
     }

@@ -186,6 +186,23 @@ def test_formula_validation():
         with pytest.raises(ValueError, match=f"^{message}$"):
             WcnfFormula(2, hard, soft)
         assert WcnfFormula(3, hard, [(c, 1) for c, _ in soft]).num_vars == 3
+    assert WcnfFormula(1, [Clause.of([1, -3])], [(Clause.of([2]), 1)],
+                       grow_vars=True).num_vars == 3
+
+
+def test_parse_walks_each_clause_once_for_its_variables(monkeypatch):
+    walked = []
+    real = wcnf._max_var
+
+    def spy(clauses):
+        clauses = list(clauses)
+        walked.extend(clauses)
+        return real(clauses)
+
+    monkeypatch.setattr(wcnf, "_max_var", spy)
+    f = parse_wcnf("p wcnf 2 3 9\n9 1 2 0\n3 -3 0\n2 1 0\n")
+    assert f.num_vars == 3  # grown past the header's count
+    assert sorted(map(id, walked)) == sorted(map(id, f.hard + [c for c, _ in f.soft]))
 
 
 # ----------------------------------------------------------------------
