@@ -243,12 +243,12 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                     solver.add_clause([-r])
                 break
             if enc is None:
-                made = solver.num_vars
+                vars_before = solver.num_vars
                 try:
                     enc = GeneralizedTotalizer(items, c, solver, budget=budget)
                 except EncodingInterrupted as e:
                     report.encoders.append(EncoderBuild(
-                        len(items), e.clauses, solver.num_vars - made))
+                        len(items), e.clauses, solver.num_vars - vars_before))
                     return finish(SATISFIABLE)
                 except EncodingTooLarge:
                     report.encoders.append(EncoderBuild(len(items), 0, 0, True))
@@ -266,7 +266,7 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                         f, report.best.assignment, weights=scheme.weight_m))
                     continue
                 report.encoders.append(EncoderBuild(
-                    len(items), enc.clauses, solver.num_vars - made))
+                    len(items), enc.clauses, solver.num_vars - vars_before))
             enc.set_bound(c, solver)
             below = enc.at_most(c - 1, solver)
             st, found = solver.solve([below], budget)
