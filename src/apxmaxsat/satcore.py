@@ -25,7 +25,7 @@ by not assuming it again. Learned clauses never depend on assumptions and
 are kept across calls.
 
 Only decision variables are branched on. A variable made with
-new_var(decision=False) never enters the branching heap: propagation alone
+new_var(decision=False) never enters the branching order: propagation alone
 assigns it, and at SAT one it left unassigned reads False in the model
 (MiniSat's decision flag). That model satisfies every clause as long as no
 clause holds more than one positive literal over non-decision variables:
@@ -35,6 +35,22 @@ non-decision variables, so at least one of them is negative and reading
 False satisfies it. Learned clauses follow from the clauses added, so the
 model satisfies them too; UNSAT answers do not depend on branching at all.
 The variables the encoders make meet this contract (see encodings).
+
+Branching picks the unassigned decision variable of highest activity,
+the lower index first among equals: the least key (-activity, v), as
+MiniSat's heap does, but without a heap over every variable. The order
+(_order) lists the decision variables by key as of its last rebuild, and a
+search pointer into it (as in the VMTF queue of Biere and Froehlich) stays
+at or before the first unassigned one: a decision moves it forward past
+assigned variables, and a backtrack moves it back to the least position
+it unassigns, with no per-variable heap work. A variable bumped or made
+since the rebuild is hot: its place in the order is stale, so a small
+lazy heap holds it instead, with one (-activity, v) entry per bump or
+unassignment, each dropped once it is stale. A decision takes the lesser
+key of the pointer's variable and the heap's top. The order is rebuilt,
+and the heap emptied, on every activity rescale and whenever the heap
+grows past a quarter of the order (plus a small constant), so the heap's
+work stays a fraction of the descent's.
 
 A solve call may take a Budget, which it charges with its conflicts and
 polls on entry, after every conflict and every 1024 decisions; exhaustion
@@ -55,6 +71,9 @@ from heapq import heappop, heappush
 _RESCALE_LIMIT = 1e100
 _RANDOM_DECISION_FREQ = 0.02
 _SCAN_LIMIT = 32  # add_clause scans a list this short faster than it hashes
+_HOT_SHARE = 4  # rebuild the order once the hot heap holds a quarter of it
+_HOT_SLACK = 64
+_UNORDERED = 1 << 62  # order position of a non-decision variable
 
 
 class Status(Enum):
@@ -126,7 +145,11 @@ class SatSolver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self._heap: list[tuple[float, int]] = []
+        # branching: see the module docstring
+        self._order: list[int] = []  # decision variables by (-activity, v)
+        self._pos = [_UNORDERED]     # place in _order; -1 while hot
+        self._ptr = 0                # no unassigned, not hot variable before it
+        self._heap: list[tuple[float, int]] = []  # the hot variables
         self.var_inc = 1.0
         self.var_decay_inv = 1.0 / 0.95
         self.cla_inc = 1.0
@@ -160,7 +183,10 @@ class SatSolver:
         self.activity.append(0.0)
         self.decision.append(decision)
         if decision:
+            self._pos.append(-1)
             heappush(self._heap, (-0.0, v))
+        else:
+            self._pos.append(_UNORDERED)
         return v
 
     def _grow(self, cap: int) -> None:
@@ -241,25 +267,33 @@ class SatSolver:
         self.trail.append(lit)
 
     def _backtrack(self, target: int) -> None:
+        """Unassign every level above target, saving each phase. The
+        pointer moves back to the least order position unassigned; a hot
+        variable is pushed back on the heap instead."""
         if len(self.trail_lim) <= target:
             return
         lim = self.trail_lim[target]
-        heap = self._heap
-        act = self.activity
+        trail = self.trail
         value = self.value
-        decision = self.decision
-        for i in range(len(self.trail) - 1, lim - 1, -1):
-            v = abs(self.trail[i])
-            self.phase[v] = value[v] == 1
-            value[v] = value[-v] = 0
-            self.reason[v] = None
-            if decision[v]:
-                heappush(heap, (-act[v], v))
-        del self.trail[lim:]
+        phase = self.phase
+        reason = self.reason
+        pos = self._pos
+        low = self._ptr
+        for lit in trail[lim:]:
+            v = lit if lit > 0 else -lit
+            phase[v] = lit > 0
+            value[lit] = value[-lit] = 0
+            reason[v] = None
+            if pos[v] < low:
+                if pos[v] < 0:
+                    heappush(self._heap, (-self.activity[v], v))
+                else:
+                    low = pos[v]
+        self._ptr = low
+        del trail[lim:]
         del self.trail_lim[target:]
         self.qhead = min(self.qhead, lim)
-        if len(heap) > 2 * self.num_vars + 64:  # mostly stale entries by now
-            self._rebuild_heap()
+        self._maybe_rebuild_order()
 
     # ------------------------------------------------------------------
     # propagation
@@ -269,6 +303,9 @@ class SatSolver:
         watches = self.watches
         value = self.value
         trail = self.trail
+        level = self.level
+        reason = self.reason
+        lvl = len(self.trail_lim)
         start = qhead = self.qhead
         conflict = None
         while qhead < len(trail):
@@ -306,7 +343,12 @@ class SatSolver:
                         keep.extend(ws[idx + 1:])
                         conflict = c
                         break
-                    self._enqueue(first, c)
+                    value[first] = 1  # _enqueue(first, c), inlined
+                    value[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = lvl
+                    reason[v] = c
+                    trail.append(first)
             watches[false_lit] = keep
             if conflict is not None:
                 break
@@ -325,20 +367,33 @@ class SatSolver:
         if act > _RESCALE_LIMIT:
             self._rescale_var_activity()
         else:
+            self._pos[v] = -1  # hot until the next rebuild
             heappush(self._heap, (-act, v))
 
     def _rescale_var_activity(self) -> None:
         for v in range(1, self.num_vars + 1):
             self.activity[v] *= 1e-100
         self.var_inc *= 1e-100
-        self._rebuild_heap()
+        self._rebuild_order()
 
-    def _rebuild_heap(self) -> None:
-        """One entry per unassigned decision variable; the heap's pick stays
-        the same."""
-        self._heap = [(-self.activity[v], v) for v in range(1, self.num_vars + 1)
-                      if self.value[v] == 0 and self.decision[v]]
-        self._heap.sort()
+    def _maybe_rebuild_order(self) -> None:
+        if len(self._heap) > len(self._order) // _HOT_SHARE + _HOT_SLACK:
+            self._rebuild_order()
+
+    def _rebuild_order(self) -> None:
+        """Sort every decision variable, assigned or not, by (-activity, v)
+        into the order, and empty the heap: no variable is hot any more."""
+        act = self.activity
+        decision = self.decision
+        # a stable sort of the ascending indices breaks ties by index
+        order = sorted((v for v in range(1, self.num_vars + 1) if decision[v]),
+                       key=lambda v: -act[v])
+        pos = self._pos
+        for i, v in enumerate(order):
+            pos[v] = i
+        self._order = order
+        self._ptr = 0
+        self._heap = []
 
     def _bump_cla(self, c: int) -> None:
         act = self.learnts
@@ -405,6 +460,12 @@ class SatSolver:
     # branching
 
     def _pick_branch(self) -> int | None:
+        """The next variable to decide, or None once every decision
+        variable is assigned: now and then a random one, otherwise the
+        unassigned decision variable of least (-activity, v). That is the
+        lesser of the first unassigned, not hot variable from the pointer
+        on and the top of the hot heap once its stale entries are dropped
+        (an entry is stale once its variable is assigned or bumped again)."""
         value = self.value
         if self.num_vars > 0 and self.rng.random() < _RANDOM_DECISION_FREQ:
             v = self.rng.randint(1, self.num_vars)
@@ -413,10 +474,23 @@ class SatSolver:
         heap = self._heap
         act = self.activity
         while heap:
-            na, v = heappop(heap)
+            na, v = heap[0]
             if value[v] == 0 and -na == act[v]:
-                return v
-        return None
+                break
+            heappop(heap)
+        order = self._order
+        pos = self._pos
+        i = self._ptr
+        end = len(order)
+        while i < end:
+            v = order[i]
+            if value[v] == 0 and pos[v] >= 0:
+                break
+            i += 1
+        self._ptr = i
+        if i < end and (not heap or (-act[v], v) < heap[0]):
+            return v
+        return heappop(heap)[1] if heap else None
 
     # ------------------------------------------------------------------
     # learned-clause management
@@ -491,6 +565,7 @@ class SatSolver:
         if not self.ok:
             return Status.UNSAT, None
         self._backtrack(0)
+        self._maybe_rebuild_order()  # variables made since the last call are hot
         if self._propagate() is not None:
             self.ok = False
             return Status.UNSAT, None

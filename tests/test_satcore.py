@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from apxmaxsat import satcore
 from apxmaxsat.satcore import Budget, SatSolver, Status
 
 from conftest import clause_sat, clause_strategy, truth_table_sat
@@ -210,7 +211,8 @@ def test_non_decision_variable_is_never_decided_and_reads_false():
         assert st_ is Status.SAT and model[free] is False
         assert s.value[free] == 0 and model[implied] == model[1]
         for v in (implied, free):
-            assert v not in picked and v not in (u for _, u in s._heap)
+            assert v not in picked and v not in s._order
+            assert v not in (u for _, u in s._heap)
     assert picked[-1] is None  # branching ended with no decision variable left
 
 
@@ -228,7 +230,7 @@ def test_sat_models_satisfy_every_clause(data):
     if st_ is Status.SAT:
         for c in clauses:
             assert clause_sat(c, model)
-        # branching only stops once the heap has no unassigned variable left
+        # branching only stops once no decision variable is left unassigned
         assert all(s.value[v] != 0 for v in range(1, n + 1))
 
 
@@ -318,6 +320,8 @@ def test_conflict_budget_is_shared_across_calls():
 
 def test_branching_heap_stays_bounded():
     # a random 3-CNF near the threshold: thousands of bumps and unassignments
+    # make variables hot; the order is rebuilt before the heap of hot ones
+    # outgrows a fixed share of it
     rng = random.Random(3)
     n = 200
     s = SatSolver(n)
@@ -335,7 +339,71 @@ def test_branching_heap_stays_bounded():
     s._pick_branch = measured_pick
     s.solve(budget=Budget(max_conflicts=1500))
     assert s.stats["conflicts"] >= 1000
-    assert peak <= 2 * n + 64
+    assert peak <= n // satcore._HOT_SHARE + satcore._HOT_SLACK
+    assert sorted(s._order) == list(range(1, n + 1))
+
+
+class NeverRandom(random.Random):
+    """Makes no branching decision random."""
+
+    def random(self):
+        return 1.0
+
+
+def check_each_pick(s):
+    """Make each decision of s assert that it takes the unassigned decision
+    variable of least (-activity, v), or None when there is none."""
+    pick = s._pick_branch
+
+    def checked_pick():
+        free = [(-s.activity[v], v) for v in range(1, s.num_vars + 1)
+                if s.value[v] == 0 and s.decision[v]]
+        v = pick()
+        assert v == (min(free)[1] if free else None)
+        return v
+
+    s._pick_branch = checked_pick
+
+
+def test_each_decision_takes_the_free_variable_of_least_key():
+    seen = {"restarts": 0, "reductions": 0, "rescales": 0, "hot picks": 0, "calls": 0}
+    for seed in range(8):
+        rng = random.Random(seed)
+        n = 80
+        s = SatSolver(n, seed=seed)
+        s.rng = NeverRandom()
+        s._max_learnts = 20.0  # reductions recur
+        for c in random_3cnf(rng, n, int(4.3 * n)):
+            s.add_clause(c)
+        check_each_pick(s)
+        checked = s._pick_branch
+
+        def counted_pick():
+            hot = s._heap[0][1] if s._heap else None
+            v = checked()
+            seen["hot picks"] += v is not None and v == hot
+            return v
+
+        s._pick_branch = counted_pick
+        for call in range(8):
+            if call % 2:
+                s.var_inc = 1.01 * satcore._RESCALE_LIMIT  # the first bump rescales
+            inc = s.var_inc
+            assumed = [v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, n + 1), rng.randint(0, 3))]
+            st_, _ = s.solve(assumed, budget=Budget(max_conflicts=300))
+            seen["calls"] += st_ is not Status.UNKNOWN
+            seen["rescales"] += s.var_inc < inc
+            # between calls: a decision variable a, a non-decision d defined
+            # as (x and a), and clauses over them
+            a = s.new_var()
+            d = s.new_var(decision=False)
+            x, y, z = rng.sample(range(1, n + 1), 3)
+            for c in ([-x, -a, d], [x, -d], [a, -d], [-d, y, z], [a, -y, x]):
+                s.add_clause(c)
+        seen["restarts"] += s.stats["restarts"]
+        seen["reductions"] += s.stats["reductions"]
+    assert all(seen.values()), seen
 
 
 # ----------------------------------------------------------------------

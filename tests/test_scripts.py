@@ -132,3 +132,23 @@ def test_bench_snapshot_refuses_a_run_without_a_result_line(tmp_path, code):
     assert r.returncode == 1 and "Traceback" not in r.stderr
     assert "error: workload quiet printed no result line" in r.stderr
     assert not out.exists()
+
+
+def test_search_diff_finds_no_difference_against_the_same_checkout(tmp_path):
+    (tmp_path / "e1.wcnf").write_text("p wcnf 2 3 10\n10 1 2 0\n3 -1 0\n2 -2 0\n")
+    r = run_script("search_diff.py", "--root", str(ROOT), "--seeds", "1",
+                   "--dir", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "4 instances, 36 reports: 0 differ",
+        "status=0 bounds=0 exact=0 clusters=0 fallbacks=0 cost=0 trace_costs=0"
+        " solver_stats=0"]
+    assert r.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [["--root", "{tmp}"], ["--root", "{root}", "--seeds", "-1"],
+                                  ["--root", "{root}", "--dir", "{tmp}/missing"]])
+def test_search_diff_rejects_bad_arguments_before_running(tmp_path, argv):
+    r = run_script("search_diff.py", *[a.format(tmp=tmp_path, root=ROOT) for a in argv])
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert "error:" in r.stderr and r.stdout == ""
