@@ -350,16 +350,19 @@ class NeverRandom(random.Random):
         return 1.0
 
 
-def check_each_pick(s):
+def check_each_pick(s, seen):
     """Make each decision of s assert that it takes the unassigned decision
-    variable of least (-activity, v), or None when there is none."""
+    variable of least (-activity, v), or None when there is none; counts in
+    seen["hot picks"] the decisions that took the hot heap's top."""
     pick = s._pick_branch
 
     def checked_pick():
         free = [(-s.activity[v], v) for v in range(1, s.num_vars + 1)
                 if s.value[v] == 0 and s.decision[v]]
+        top = s._heap[0][1] if s._heap else None
         v = pick()
         assert v == (min(free)[1] if free else None)
+        seen["hot picks"] += v is not None and v == top
         return v
 
     s._pick_branch = checked_pick
@@ -375,16 +378,7 @@ def test_each_decision_takes_the_free_variable_of_least_key():
         s._max_learnts = 20.0  # reductions recur
         for c in random_3cnf(rng, n, int(4.3 * n)):
             s.add_clause(c)
-        check_each_pick(s)
-        checked = s._pick_branch
-
-        def counted_pick():
-            hot = s._heap[0][1] if s._heap else None
-            v = checked()
-            seen["hot picks"] += v is not None and v == hot
-            return v
-
-        s._pick_branch = counted_pick
+        check_each_pick(s, seen)
         for call in range(8):
             if call % 2:
                 s.var_inc = 1.01 * satcore._RESCALE_LIMIT  # the first bump rescales
