@@ -10,9 +10,13 @@ fidelity_family instances (seeds 0..N-1 of each, drawn here), plus every
 *.wcnf file in --dir; both sides get the same WDIMACS text, and the solver
 seed of each report is its instance's index. Prints how many reports
 differ in status, bounds, exact, clusters, fallbacks, cost, trace costs or
-solver_stats, naming each on stderr, and exits 1 if any does.
+solver_stats, naming each on stderr, and exits 1 if any does. --answers
+compares only status, bounds, exact, clusters, fallbacks and cost, for a
+change that may move the search's path (its trace and solver stats) but
+not its answers.
 
     python scripts/search_diff.py --root ../parent --seeds 20 --dir suite/
+    python scripts/search_diff.py --root ../parent --seeds 20 --answers
 """
 
 import argparse
@@ -24,8 +28,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FIELDS = ("status", "bounds", "exact", "clusters", "fallbacks", "cost",
-          "trace_costs", "solver_stats")
+ANSWERS = ("status", "bounds", "exact", "clusters", "fallbacks", "cost")
+FIELDS = ANSWERS + ("trace_costs", "solver_stats")
 
 # Run in each checkout: reads a JSON list of WDIMACS texts on stdin and
 # prints one JSON list of reports, nine per instance.
@@ -57,6 +61,8 @@ def parse_args(argv):
     parser.add_argument("--seeds", type=int, default=10,
                         help="instances drawn per seeded family (default 10)")
     parser.add_argument("--dir", type=Path, help="also run every *.wcnf file here")
+    parser.add_argument("--answers", action="store_true",
+                        help="compare the answers only, not trace costs or solver stats")
     args = parser.parse_args(argv)
     if not (args.root / "src" / "apxmaxsat").is_dir():
         parser.error(f"--root {args.root} has no src/apxmaxsat")
@@ -99,10 +105,11 @@ def main(argv=None) -> int:
     named = instances(args.seeds, args.dir)
     texts = [text for _, text in named]
     ours, theirs = reports(ROOT, texts), reports(args.root, texts)
-    per_field = dict.fromkeys(FIELDS, 0)
+    compared = ANSWERS if args.answers else FIELDS
+    per_field = dict.fromkeys(compared, 0)
     differ = 0
     for a, b in zip(ours, theirs):
-        fields = [f for f in FIELDS if a[f] != b[f]]
+        fields = [f for f in compared if a[f] != b[f]]
         for f in fields:
             per_field[f] += 1
         if fields:

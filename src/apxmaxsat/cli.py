@@ -175,6 +175,9 @@ def _cmd_solve(args) -> int:
 
     report = search.solve(f, cfg, on_improve)
     if args.verbosity >= 1:
+        if report.warm is not None:
+            k, first, last = report.warm
+            print(f"c warm k={k} first={first} last={last}", flush=True)
         fallbacks = iter(report.fallbacks)  # one per refused build, in order
         for build in report.encoders:
             print(f"c encoder inputs={build.inputs} clauses={build.clauses} "

@@ -35,23 +35,36 @@ children with |L| and |R| sums plus one per child whose inputs can pass
 max_bound: the clauses it would emit if every overflowing pair had a clause
 of its own. The root is charged likewise, though it emits about |L| + 2|R|
 clauses: that keeps the cap's refusals, and with them the search's
-fallbacks, independent of how the root is encoded. The first pass raises EncodingTooLarge, before
-walking a node's pairs of sums, once the total charge would pass
-MAX_GTE_CLAUSES. Only then does the second pass create the variables and
-emit the clauses, children first, so a refused encoding leaves its sink
-untouched. An optional satcore.Budget is polled once per merge node in
-both passes and once per row of a node's pairs while emitting; when it has
-run out the build raises EncodingInterrupted.
+fallbacks, independent of how the root is encoded. The first pass raises
+EncodingTooLarge, before walking a node's pairs of sums, once the total
+charge would pass MAX_GTE_CLAUSES. Only then does the second pass create
+the variables and emit the clauses, children first, so a refused encoding
+leaves its sink untouched. plan_gte is the first pass on its own: its
+GtePlan holds the charge, so a caller can size an encoding before deciding
+to build it, and a build handed the plan does not size it again. An
+optional satcore.Budget is polled once per merge node in both passes and
+once per row of a node's pairs while emitting; when it has run out the
+build raises EncodingInterrupted.
 
 Totalizer is the GTE's unit-weight case capped at the input count, so
 set_bound(k) enforces "at most k inputs true".
 
+A GTE built with a guard literal g bounds its sum only while g holds:
+every clause that forbids a sum (a heavy leaf's unit, a rung's cut, the
+build's staircase and the rows set_bound and at_most add) carries -g,
+while the clauses that define outputs, rungs and order variables do not,
+since they hold in every model. Assume g to search under the bound and add
+[-g] to retire it for good; the clauses, and those a solver learns from
+them, then allow every input assignment. The search bounds a floored
+objective that way, which is no bound on the true one (see search).
+
 Every variable the GTE creates (outputs, rungs, order variables and
-selectors) is made with new_var(decision=False): the inputs or an
-assumption determine them, so a solver never branches on them. Each clause
-above has at most one positive literal over the created variables (the
-output, rung or order variable it implies; a staircase clause has none),
-which is the contract under which satcore.SatSolver reads an unset
+selectors), and the search's guard, is made with new_var(decision=False):
+the inputs or an assumption determine them, so a solver never branches on
+them. Each clause above has at most one positive literal over the created
+variables (the output, rung or order variable it implies; a staircase
+clause has none, and a guard or selector appears only negated), which is
+the contract under which satcore.SatSolver reads an unset
 non-decision variable as False and still returns a model of every clause.
 A sink that does not branch, such as CnfBuffer, ignores the flag.
 
@@ -64,6 +77,7 @@ built into.
 from __future__ import annotations
 
 from bisect import bisect_right
+from typing import NamedTuple
 
 MAX_GTE_CLAUSES = 1 << 18
 
@@ -108,41 +122,114 @@ class CnfBuffer:
         return "\n".join(lines) + "\n"
 
 
+class GtePlan(NamedTuple):
+    """A GTE sized by plan_gte and not yet built: its inputs, cap and charge,
+    and the plans of the root's two subtrees (right is None for a lone
+    input), each (ascending sums <= max_bound, whether its inputs can pass
+    max_bound, left plan, right plan)."""
+
+    pairs: list[tuple[int, int]]
+    max_bound: int
+    charge: int
+    left: tuple
+    right: tuple | None
+
+
+def plan_gte(items, max_bound: int, budget=None) -> GtePlan:
+    """Pass 1 of a GTE over (literal, positive weight) items capped at
+    max_bound: size it without creating a variable or emitting a clause.
+    Raises ValueError on bad input, EncodingTooLarge once the charge would
+    pass MAX_GTE_CLAUSES and EncodingInterrupted (0 clauses) when the
+    budget runs out."""
+    pairs = [(int(l), int(w)) for l, w in items]
+    if not pairs:
+        raise ValueError("totalizer needs at least one input")
+    if any(w < 1 for _, w in pairs):
+        raise ValueError("weights must be >= 1")
+    if max_bound < 0:
+        raise ValueError("max_bound must be >= 0")
+    # the root's children; a lone input is a left child without a sibling
+    half = len(pairs) // 2 or 1
+    size = [0]
+    left = _plan(pairs[:half], max_bound, size, budget)
+    right = None
+    if pairs[half:]:
+        right = _plan(pairs[half:], max_bound, size, budget)
+        _poll(budget)
+        _charge(size, len(left[0]), len(right[0]), left[1] + right[1])
+    return GtePlan(pairs, max_bound, size[0], left, right)
+
+
+def _charge(size, nl, nr, over) -> None:
+    """Add a merge node's charge for children of nl and nr sums, over of
+    which can pass max_bound, to size[0]; raise EncodingTooLarge if the
+    total passes the cap."""
+    size[0] += nl + nr + nl * nr + over
+    if size[0] > MAX_GTE_CLAUSES:
+        raise EncodingTooLarge(f"encoding over {MAX_GTE_CLAUSES} clauses")
+
+
+def _plan(pairs, max_bound, size, budget):
+    """The plan of the subtree on pairs: (its ascending sums <= max_bound,
+    whether its inputs can pass max_bound, left plan, right plan). Adds
+    each node's charge to size[0], and raises EncodingTooLarge before
+    walking a node's pairs if that would pass the cap."""
+    if len(pairs) == 1:
+        w = pairs[0][1]
+        if w > max_bound:
+            return [], True, None, None
+        return [w], False, None, None
+    half = len(pairs) // 2
+    left = _plan(pairs[:half], max_bound, size, budget)
+    right = _plan(pairs[half:], max_bound, size, budget)
+    _poll(budget)
+    lsums, lover = left[0], left[1]
+    rsums, rover = right[0], right[1]
+    _charge(size, len(lsums), len(rsums), lover + rover)
+    reach = set(lsums)
+    reach.update(rsums)
+    for sa in lsums:
+        fit = bisect_right(rsums, max_bound - sa)
+        if not fit:
+            break  # lsums ascend, so no later row fits either
+        reach.update(map(sa.__add__, rsums[:fit]))
+    over = lover or rover or bool(
+        lsums and rsums and lsums[-1] + rsums[-1] > max_bound)
+    return sorted(reach), over, left, right
+
+
 class GeneralizedTotalizer:
     """Weighted unary counter over (literal, positive weight) inputs,
     bounded from above.
 
     The built encoding forbids every weighted sum above max_bound;
     set_bound(b) forbids every sum above b for good, and at_most(b)
-    returns a selector literal under which sums above b are forbidden. An
-    encoding charged over MAX_GTE_CLAUSES raises EncodingTooLarge and
-    leaves the sink untouched; a budget that runs out mid-build raises
-    EncodingInterrupted. self.clauses counts the clauses emitted so far.
+    returns a selector literal under which sums above b are forbidden;
+    with a guard literal, each of these holds only while the guard does.
+    plan is plan_gte(items, max_bound)'s result when the caller sized the
+    encoding already. An encoding charged over MAX_GTE_CLAUSES raises
+    EncodingTooLarge and leaves the sink untouched; a budget that runs out
+    mid-build raises EncodingInterrupted. self.clauses counts the clauses
+    emitted so far.
     """
 
-    def __init__(self, items, max_bound: int, sink, *, budget=None):
-        pairs = [(int(l), int(w)) for l, w in items]
-        if not pairs:
-            raise ValueError("totalizer needs at least one input")
-        if any(w < 1 for _, w in pairs):
-            raise ValueError("weights must be >= 1")
-        if max_bound < 0:
-            raise ValueError("max_bound must be >= 0")
+    def __init__(self, items, max_bound: int, sink, *, budget=None, plan=None,
+                 guard: int | None = None):
+        if plan is None:
+            plan = plan_gte(items, max_bound, budget)
+        elif plan.max_bound != max_bound:
+            raise ValueError(f"plan capped at {plan.max_bound}, not {max_bound}")
         self.max_bound = max_bound
         self.bound: int | None = None
         self.clauses = 0
-        # the root's children; a lone input is a left child without a sibling
+        # prepended to every clause that forbids a sum
+        self._guard = [] if guard is None else [-guard]
+        pairs = plan.pairs
         half = len(pairs) // 2 or 1
-        left, right = pairs[:half], pairs[half:]
-        size = [0]
-        lplan = self._plan(left, size, budget)
-        if right:
-            rplan = self._plan(right, size, budget)
-            _poll(budget)
-            self._charge(size, len(lplan[0]), len(rplan[0]), lplan[1] + rplan[1])
         try:
-            lsums = self._emit(left, lplan, sink, budget)
-            rsums = self._emit(right, rplan, sink, budget) if right else []
+            lsums = self._emit(pairs[:half], plan.left, sink, budget)
+            rsums = (self._emit(pairs[half:], plan.right, sink, budget)
+                     if plan.right is not None else [])
             _poll(budget)
         except EncodingInterrupted as e:
             e.clauses = self.clauses
@@ -158,44 +245,7 @@ class GeneralizedTotalizer:
             sink.add_clause([-hi, lo])
         self.clauses += 2 * len(rsums) - bool(rsums)
         # no sum passes the total weight, so its staircase is empty
-        self._staircase(max_bound, sum(w for _, w in pairs), sink, [])
-
-    @staticmethod
-    def _charge(size, nl, nr, over) -> None:
-        """Add a merge node's charge for children of nl and nr sums, over of
-        which can pass max_bound, to size[0]; raise EncodingTooLarge if the
-        total passes the cap."""
-        size[0] += nl + nr + nl * nr + over
-        if size[0] > MAX_GTE_CLAUSES:
-            raise EncodingTooLarge(f"encoding over {MAX_GTE_CLAUSES} clauses")
-
-    def _plan(self, pairs, size, budget):
-        """Pass 1 over the subtree on pairs: (its ascending sums <= max_bound,
-        whether its inputs can pass max_bound, left plan, right plan). Adds
-        each node's charge to size[0], and raises EncodingTooLarge before
-        walking a node's pairs if that would pass the cap."""
-        if len(pairs) == 1:
-            w = pairs[0][1]
-            if w > self.max_bound:
-                return [], True, None, None
-            return [w], False, None, None
-        half = len(pairs) // 2
-        left = self._plan(pairs[:half], size, budget)
-        right = self._plan(pairs[half:], size, budget)
-        _poll(budget)
-        lsums, lover = left[0], left[1]
-        rsums, rover = right[0], right[1]
-        self._charge(size, len(lsums), len(rsums), lover + rover)
-        reach = set(lsums)
-        reach.update(rsums)
-        for sa in lsums:
-            fit = bisect_right(rsums, self.max_bound - sa)
-            if not fit:
-                break  # lsums ascend, so no later row fits either
-            reach.update(map(sa.__add__, rsums[:fit]))
-        over = lover or rover or bool(
-            lsums and rsums and lsums[-1] + rsums[-1] > self.max_bound)
-        return sorted(reach), over, left, right
+        self._staircase(max_bound, sum(w for _, w in pairs), sink, self._guard)
 
     def _emit(self, pairs, plan, sink, budget):
         """Pass 2 over the subtree on pairs: create the planned outputs and
@@ -205,7 +255,7 @@ class GeneralizedTotalizer:
         if left is None:
             lit = pairs[0][0]
             if not sums:  # heavier than max_bound on its own
-                sink.add_clause([-lit])
+                sink.add_clause(self._guard + [-lit])
                 self.clauses += 1
                 return []
             return [(sums[0], lit)]
@@ -247,7 +297,7 @@ class GeneralizedTotalizer:
             for sb, nb in rneg[:fit]:
                 sink.add_clause([na, nb, out[sa + sb]])
             if fit < len(rneg):
-                sink.add_clause([na, -rung[fit]])
+                sink.add_clause(self._guard + [na, -rung[fit]])
             self.clauses += fit + (fit < len(rneg))
         return [(s, out[s]) for s in sums]
 
@@ -282,7 +332,7 @@ class GeneralizedTotalizer:
         self._check(b)
         if self.bound is not None and b >= self.bound:
             raise ValueError(f"bound can only tighten: {b} >= {self.bound}")
-        self._staircase(b, self._frozen(), sink, [])
+        self._staircase(b, self._frozen(), sink, self._guard)
         self.bound = b
 
     def at_most(self, b: int, sink) -> int:
@@ -292,7 +342,7 @@ class GeneralizedTotalizer:
         self._check(b)
         t = sink.new_var(decision=False)
         frozen = self._frozen()
-        self._staircase(min(b, frozen), frozen, sink, [-t])
+        self._staircase(min(b, frozen), frozen, sink, self._guard + [-t])
         return t
 
     def _frozen(self) -> int:

@@ -142,6 +142,7 @@ class SatSolver:
         self.phase = [False]    # saved polarity; default false
         self.activity = [0.0]
         self.decision = [False]  # branched on; see new_var
+        self._decisions: list[int] = []  # the decision variables, ascending
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -183,6 +184,7 @@ class SatSolver:
         self.activity.append(0.0)
         self.decision.append(decision)
         if decision:
+            self._decisions.append(v)
             self._pos.append(-1)
             heappush(self._heap, (-0.0, v))
         else:
@@ -371,8 +373,9 @@ class SatSolver:
             heappush(self._heap, (-act, v))
 
     def _rescale_var_activity(self) -> None:
-        for v in range(1, self.num_vars + 1):
-            self.activity[v] *= 1e-100
+        act = self.activity
+        for v in self._decisions:  # the others are never bumped and stay 0
+            act[v] *= 1e-100
         self.var_inc *= 1e-100
         self._rebuild_order()
 
@@ -384,10 +387,8 @@ class SatSolver:
         """Sort every decision variable, assigned or not, by (-activity, v)
         into the order, and empty the heap: no variable is hot any more."""
         act = self.activity
-        decision = self.decision
         # a stable sort of the ascending indices breaks ties by index
-        order = sorted((v for v in range(1, self.num_vars + 1) if decision[v]),
-                       key=lambda v: -act[v])
+        order = sorted(self._decisions, key=lambda v: -act[v])
         pos = self._pos
         for i, v in enumerate(order):
             pos[v] = i

@@ -23,7 +23,32 @@ encoder's variables are non-decision variables (see satcore and
 encodings), which propagation alone sets from the relaxation variables, so
 a model's objective value reads the same whether or not one was left
 unset. SearchReport.encoders records each build: its inputs, the clauses
-and variables it made, and whether the cap refused it.
+and variables it made, and whether the cap refused it. The search sizes an
+encoding with encodings.plan_gte and builds it from that plan, so an
+encoding is sized once unless the floored stage below runs.
+
+A big exact encoding is warm-started from floored weights (varying
+resolution, as in Joshi, Kumar, Rao and Martins, JSAT 2019). When
+apx-weight searches the true weights and its GTE at the first bound is
+charged more than WARM_CHARGE yet fits the cap, a floored stage runs
+first: it minimizes the weights w >> k, with k = (largest
+weight).bit_length() - 3, so floored weights lie in 0..7 and the inputs
+floored to 0 are dropped. A floored bound is no bound on the true
+objective, so the stage's GTE is built with a guard literal (see
+encodings): each of its SAT calls assumes the guard beside the step's
+selector, and once the stage ends the unit [-guard] retires every clause
+that forbids a floored sum, so no clause it added or the solver learned
+cuts off a model of the true objective. The exact GTE is then built at the
+best model's true cost, usually far below the first bound, and the search
+descends to the same final UNSAT as without the stage, so the answer is
+the same proven optimum. SearchReport.warm holds (k, first floored cost,
+last floored cost), or None when no stage ran; its floored build is
+logged in encoders before the exact one. WARM_CHARGE was set against the
+benchmark's instance families: fidelity_family's exact encodings, charged
+71k-89k at their first bounds (17k-31k clauses), take the stage, while
+those of the planted 3-CNF instances (charged at most 10k) and of
+wide-weights instances of 12-14 units (3.7k-16.6k) are built at once, and
+an encoding over the cap (wide-weights at 19 units) falls back as below.
 
 No encoding is charged past encodings.MAX_GTE_CLAUSES (see encodings).
 When apx-weight's would be, the search falls back to coarser weights, the
@@ -68,12 +93,16 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import clustering, wcnf
-from .encodings import EncodingInterrupted, EncodingTooLarge, GeneralizedTotalizer
+from .encodings import (EncodingInterrupted, EncodingTooLarge, GeneralizedTotalizer,
+                        plan_gte)
 from .satcore import Budget, SatSolver, Status
 
 APX_WEIGHT = "apx-weight"
 APX_SUBPROB = "apx-subprob"
 CLUSTERS_WEIGHTS = "weights"  # sentinel: m = number of distinct weights
+
+# an exact build charged more than this is warm-started (see the module docstring)
+WARM_CHARGE = 1 << 15
 
 OPTIMUM_FOR_APPROXIMATION = "optimum_for_approximation"
 SATISFIABLE = "satisfiable"
@@ -137,9 +166,11 @@ class SearchReport:
     no search filled. fallbacks lists, in order, each m whose encoding was
     over the cap with the m retried after it, None where the search stopped
     instead. encoders lists every encoder build in order (see
-    EncoderBuild). solver_stats is a copy of the solver's final stats
-    (conflicts, decisions, propagations, restarts, reductions), empty when
-    no solver was built."""
+    EncoderBuild). warm is (k, first, last) when the floored stage ran: the
+    shift k and the floored cost of its first and last model (see the
+    module docstring); None otherwise. solver_stats is a copy of the
+    solver's final stats (conflicts, decisions, propagations, restarts,
+    reductions), empty when no solver was built."""
 
     best: wcnf.Model | None
     status: str
@@ -150,6 +181,7 @@ class SearchReport:
     clusters: int | None = None
     fallbacks: list[tuple[int, int | None]] = field(default_factory=list)
     encoders: list[EncoderBuild] = field(default_factory=list)
+    warm: tuple[int, int, int] | None = None
     solver_stats: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -233,50 +265,123 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
     if st is Status.UNKNOWN:
         return finish(UNKNOWN)
     offer(model)
-    for j, items in enumerate(objectives):
-        enc = None
-        while True:
-            c = sum(w for r, w in items if model[r])
-            report.bounds[j] = c
-            if c == 0:
-                for r, _ in items:
-                    solver.add_clause([-r])
-                break
-            if enc is None:
-                vars_before = solver.num_vars
-                try:
-                    enc = GeneralizedTotalizer(items, c, solver, budget=budget)
-                except EncodingInterrupted as e:
-                    report.encoders.append(EncoderBuild(
-                        len(items), e.clauses, solver.num_vars - vars_before))
-                    return finish(SATISFIABLE)
-                except EncodingTooLarge:
-                    report.encoders.append(EncoderBuild(len(items), 0, 0, True))
-                    refused = len(part.clusters)
-                    # unit-weight counters have no coarser weights to fall to
-                    if not weighted or refused == 1:
-                        report.fallbacks.append((refused, None))
-                        return finish(SATISFIABLE)
-                    m = refused // 2
-                    report.fallbacks.append((refused, m))
-                    part, scheme = clustering.partition(f, m)
-                    items = list(zip(relax_of, scheme.weight_m))
-                    # a new Model: the one on_improve was given keeps its price
-                    report.best = replace(report.best, approx_cost=wcnf.cost(
-                        f, report.best.assignment, weights=scheme.weight_m))
-                    continue
-                report.encoders.append(EncoderBuild(
-                    len(items), enc.clauses, solver.num_vars - vars_before))
+
+    def build(items, bound, plan, guard=None):
+        """The planned GTE over items, built into the solver and logged in
+        report.encoders; None when the budget interrupts the build."""
+        vars_before = solver.num_vars
+        try:
+            enc = GeneralizedTotalizer(items, bound, solver, budget=budget,
+                                       plan=plan, guard=guard)
+        except EncodingInterrupted as e:
+            report.encoders.append(EncoderBuild(
+                len(items), e.clauses, solver.num_vars - vars_before))
+            return None
+        report.encoders.append(EncoderBuild(
+            len(items), enc.clauses, solver.num_vars - vars_before))
+        return enc
+
+    def sized(items, bound):
+        """plan_gte(items, bound), or None when the budget interrupts it,
+        logged as a build that made nothing. Raises EncodingTooLarge."""
+        try:
+            return plan_gte(items, bound, budget)
+        except EncodingInterrupted:
+            report.encoders.append(EncoderBuild(len(items), 0, 0))
+            return None
+
+    def descend(enc, items, c, assume):
+        """Lower c, the value of items in the current model, one SAT call
+        per step under the assumed literals and the step's selector, until a
+        call proves c minimal (UNSAT) or the budget runs out (UNKNOWN).
+        Returns that status and the last c; c = 0 is minimal without a
+        call. Each step's model is offered and becomes the current one."""
+        nonlocal model
+        while c:
             enc.set_bound(c, solver)
             below = enc.at_most(c - 1, solver)
-            st, found = solver.solve([below], budget)
+            st, found = solver.solve(assume + [below], budget)
             solver.add_clause([below if st is Status.SAT else -below])
-            if st is Status.UNKNOWN:
-                return finish(SATISFIABLE)  # best holds the first model at least
-            if st is Status.UNSAT:
-                break
+            if st is not Status.SAT:
+                return st, c
             model = found
             offer(model)
+            c = sum(w for r, w in items if model[r])
+        return Status.UNSAT, 0
+
+    def warm_up(items, k) -> bool:
+        """The floored stage: minimize items under weights w >> k, dropping
+        the inputs floored to 0, with every clause that forbids a floored sum
+        guarded by a fresh literal assumed beside each step's selector and
+        retired by its negated unit afterwards. False when the budget ran
+        out; a floored encoding over the cap is skipped."""
+        floored = [(r, w >> k) for r, w in items if w >> k]
+        first = sum(w for r, w in floored if model[r])
+        if not first:
+            report.warm = (k, 0, 0)
+            return True
+        try:
+            plan = sized(floored, first)
+        except EncodingTooLarge:
+            return True  # the exact stage alone, as without the stage
+        if plan is None:
+            return False
+        report.warm = (k, first, first)
+        guard = solver.new_var(decision=False)
+        enc = build(floored, first, plan, guard)
+        if enc is None:
+            return False
+        st, last = descend(enc, floored, first, [guard])
+        report.warm = (k, first, last)
+        if st is Status.UNKNOWN:
+            return False
+        solver.add_clause([-guard])
+        return True
+
+    for j, items in enumerate(objectives):
+        c = sum(w for r, w in items if model[r])
+        warmed = False  # the floored stage runs once, before the exact build
+        enc = None
+        while c and enc is None:
+            report.bounds[j] = c
+            try:
+                plan = sized(items, c)
+            except EncodingTooLarge:
+                report.encoders.append(EncoderBuild(len(items), 0, 0, True))
+                refused = len(part.clusters)
+                # unit-weight counters have no coarser weights to fall to
+                if not weighted or refused == 1:
+                    report.fallbacks.append((refused, None))
+                    return finish(SATISFIABLE)
+                m = refused // 2
+                report.fallbacks.append((refused, m))
+                part, scheme = clustering.partition(f, m)
+                items = list(zip(relax_of, scheme.weight_m))
+                # a new Model: the one on_improve was given keeps its price
+                report.best = replace(report.best, approx_cost=wcnf.cost(
+                    f, report.best.assignment, weights=scheme.weight_m))
+                c = sum(w for r, w in items if model[r])
+                continue
+            if plan is None:
+                return finish(SATISFIABLE)  # best holds the first model at least
+            if (not warmed and weighted and scheme.weight_m == scheme.weight
+                    and plan.charge > WARM_CHARGE
+                    and (k := max(w for _, w in items).bit_length() - 3) > 0):
+                warmed = True
+                if not warm_up(items, k):
+                    return finish(SATISFIABLE)
+                c = report.best.true_cost  # a model's true cost is its least value
+                continue
+            enc = build(items, c, plan)
+            if enc is None:
+                return finish(SATISFIABLE)
+        st, c = descend(enc, items, c, [])  # with c = 0 there is no enc
+        report.bounds[j] = c
+        if st is Status.UNKNOWN:
+            return finish(SATISFIABLE)
+        if not c:
+            for r, _ in items:
+                solver.add_clause([-r])
     # after a fallback the minimum proven is that of coarser clusters than
     # the ones asked for
     return finish(SATISFIABLE if report.fallbacks else OPTIMUM_FOR_APPROXIMATION)

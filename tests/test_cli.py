@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from apxmaxsat import cli, harness, wcnf
+from apxmaxsat import cli, harness, search, wcnf
 
 from conftest import E1_TEXT, HARD_UNSAT_TEXT, clause_sat, seeded_rng
 
@@ -148,6 +148,27 @@ def test_verbose_prints_each_encoder_build(tmp_path, e1_path):
     assert [line.split()[:3] for line in r.stdout.splitlines()
             if line.startswith("c encoder ")] == [["c", "encoder", "inputs=2"]]
     assert "c encoder" not in run_cli("solve", e1_path).stdout
+
+
+def test_verbose_prints_the_floored_stage_before_the_encoders(tmp_path, e1_path):
+    # a fidelity instance's exact encoding is charged over search.WARM_CHARGE
+    f = harness.fidelity_family(seeded_rng(20250810))
+    p = tmp_path / "fidelity.wcnf"
+    p.write_text(wcnf.serialize_wcnf(f))
+    report = search.solve(f, search.SearchConfig(algorithm="apx-weight", clusters=0))
+    k, first, last = report.warm
+    r = run_cli("solve", str(p), "--algorithm", "apx-weight", "--clusters", "0",
+                "--verbosity", "1")
+    lines = [line for line in r.stdout.splitlines() if line.startswith(("c warm", "c encoder"))]
+    assert lines[0] == f"c warm k={k} first={first} last={last}"
+    # the floored build, then the exact one over every soft clause
+    assert [line.split()[2] for line in lines[1:]] == [
+        f"inputs={e.inputs}" for e in report.encoders] == [
+        f"inputs={sum(w >> k > 0 for _, w in f.soft)}", f"inputs={len(f.soft)}"]
+    assert s_lines(r.stdout) == ["s OPTIMUM FOUND"]
+    r = run_cli("solve", e1_path, "--algorithm", "apx-weight", "--clusters", "0",
+                "--verbosity", "1")
+    assert "c warm" not in r.stdout  # a small exact encoding is built at once
 
 
 def test_verbose_prints_the_solver_stats(e1_path):

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from apxmaxsat import encodings, harness
 from apxmaxsat.encodings import (CnfBuffer, EncodingInterrupted, EncodingTooLarge,
-                                 GeneralizedTotalizer, Totalizer)
+                                 GeneralizedTotalizer, Totalizer, plan_gte)
 from apxmaxsat.satcore import Budget, SatSolver, Status
 
 from conftest import (all_assignments, arithmetic_models, clause_sat, clause_strategy,
@@ -163,6 +163,8 @@ def test_gte_contract_errors():
         with pytest.raises(ValueError):
             gte.at_most(b, buf)
     gte.at_most(4, buf)  # looser than the frozen bound, so it adds nothing
+    with pytest.raises(ValueError):  # a plan is built at its own cap only
+        GeneralizedTotalizer([(1, 2), (2, 3)], 4, buf, plan=plan_gte([(1, 2), (2, 3)], 5))
 
 
 # ----------------------------------------------------------------------
@@ -358,9 +360,12 @@ def test_gte_cap_counts_the_charge(monkeypatch):
         reference = CnfBuffer(len(items))
         charge = one_pass_gte(items, cap, reference)
         monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", charge)
-        at_cap = CnfBuffer(len(items))
+        plan = plan_gte(items, cap)
+        assert plan.charge == charge
+        at_cap, planned = CnfBuffer(len(items)), CnfBuffer(len(items))
         GeneralizedTotalizer(items, cap, at_cap)
-        assert at_cap.clauses == reference.clauses
+        GeneralizedTotalizer(items, cap, planned, plan=plan)  # built as planned
+        assert at_cap.clauses == planned.clauses == reference.clauses
         if len(items) > 1:  # a lone input is no merge node and is never charged
             monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", charge - 1)
             over = CnfBuffer(len(items))
@@ -386,6 +391,35 @@ def test_gte_clauses_hold_at_most_one_positive_created_literal():
             gte.set_bound(rng.randint(0, cap - 1), buf)
         gte.at_most(rng.randint(0, cap), buf)
         assert all(sum(l > n for l in c) <= 1 for c in buf.clauses)
+
+
+def test_gte_guard_bounds_only_while_assumed():
+    # every clause that forbids a sum carries the guard's negation: assumed,
+    # the guarded encoding bounds as an unguarded one does; retired, it
+    # allows every input assignment
+    rng = random.Random(6161)
+    for trial in range(20):
+        weights = random_weights(rng, max_inputs=5, max_weight=8)
+        n = len(weights)
+        items = list(zip(range(1, n + 1), weights))
+        cap = rng.randint(0, sum(weights))
+
+        def assumed(sink):
+            guard = sink.new_var(decision=False)
+            sink.add_clause([guard])
+            return GeneralizedTotalizer(items, cap, sink, guard=guard)
+
+        assert_every_bound(weights, cap, assumed)
+        buf = CnfBuffer(n)
+        guard = buf.new_var(decision=False)
+        gte = GeneralizedTotalizer(items, cap, buf, guard=guard)
+        if cap:
+            gte.set_bound(rng.randint(0, cap - 1), buf)
+        buf.add_clause([gte.at_most(0, buf)])  # kept, as the search keeps one
+        # the guard and the selector count as created variables
+        assert all(sum(l > n for l in c) <= 1 for c in buf.clauses)
+        buf.add_clause([-guard])
+        assert len(projected_models(buf.clauses, range(1, n + 1))) == 2 ** n
 
 
 def test_gte_enforces_max_bound_when_built_seeded_trials():

@@ -260,6 +260,19 @@ def test_report_json_and_table(tmp_path):
     assert "avg-score" in text and "apx-subprob/m=weights" in text
 
 
+def test_report_carries_the_floored_stage(tmp_path, monkeypatch):
+    # weights 9 and 8 floor by k=1 to 4 and 4, and one unit is always paid
+    monkeypatch.setattr(search, "WARM_CHARGE", 0)
+    d = write_suite(tmp_path, {"w.wcnf": "p wcnf 2 3 40\n40 1 2 0\n9 -1 0\n8 -2 0\n"})
+    out = tmp_path / "report.json"
+    write_report(run_benchmarks(d, both_configs(), max_conflicts=10000), out)
+    results = json.loads(out.read_text())["instances"][str(d / "w.wcnf")]["results"]
+    staged = results["apx-weight/m=0"]
+    assert staged["warm"] == [1, 4, 4] and staged["exact"] and staged["cost"] == 8
+    assert [e["inputs"] for e in staged["encoders"]] == [2, 2]
+    assert results["apx-subprob/m=weights"]["warm"] is None
+
+
 def test_report_says_which_runs_fell_back_to_coarser_clusters(tmp_path, monkeypatch):
     # a row that fell back must not read like one searched at its configured m
     monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 60)

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,30 @@ def test_search_diff_finds_no_difference_against_the_same_checkout(tmp_path):
         "status=0 bounds=0 exact=0 clusters=0 fallbacks=0 cost=0 trace_costs=0"
         " solver_stats=0"]
     assert r.stderr == ""
+
+
+def test_search_diff_answers_ignores_the_search_path(tmp_path):
+    # a checkout whose reports differ from this one's in solver stats alone
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other / "src")
+    search_py = other / "src" / "apxmaxsat" / "search.py"
+    text = search_py.read_text()
+    assert text.count("report.solver_stats = dict(solver.stats)") == 1
+    search_py.write_text(text.replace("report.solver_stats = dict(solver.stats)",
+                                      "report.solver_stats = dict(solver.stats, moved=1)"))
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "e1.wcnf").write_text("p wcnf 2 3 10\n10 1 2 0\n3 -1 0\n2 -2 0\n")
+    argv = ["--root", str(other), "--seeds", "0", "--dir", str(suite)]
+    r = run_script("search_diff.py", *argv)
+    assert r.returncode == 1
+    assert r.stdout.splitlines()[0] == "1 instances, 9 reports: 9 differ"
+    assert r.stdout.splitlines()[1].endswith(" trace_costs=0 solver_stats=9")
+    r = run_script("search_diff.py", *argv, "--answers")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "1 instances, 9 reports: 0 differ",
+        "status=0 bounds=0 exact=0 clusters=0 fallbacks=0 cost=0"]
 
 
 @pytest.mark.parametrize("argv", [["--root", "{tmp}"], ["--root", "{root}", "--seeds", "-1"],

@@ -523,6 +523,68 @@ def test_exact_reports_are_optimal():
 
 
 # ----------------------------------------------------------------------
+# the floored stage before a big exact build
+
+def test_floored_bound_does_not_cut_off_the_optimum(monkeypatch):
+    # x1=1, x2=2, y1..y7=3..9, z=10, m=11: flooring by k=1 drops the y units;
+    # the first model (every y, and z) has floored cost 1 and true cost 9,
+    # the optimum (x1, x2) floored cost 2 and true cost 4, so the floored
+    # bound, left unguarded, would forbid the optimum for good
+    monkeypatch.setattr(search, "WARM_CHARGE", 0)
+    ys = range(3, 10)
+    hard = ([wcnf.Clause.of([1, y]) for y in ys] + [wcnf.Clause.of([2, y]) for y in ys]
+            + [wcnf.Clause.of([10, 1])])
+    soft = ([(wcnf.Clause.of([-1]), 2), (wcnf.Clause.of([-2]), 2)]
+            + [(wcnf.Clause.of([-y]), 1) for y in ys]
+            + [(wcnf.Clause.of([-10]), 2), (wcnf.Clause.of([-11]), 8)])
+    f = wcnf.WcnfFormula(11, hard, soft)
+    assert harness.brute_force_optimum(f)[0] == 4
+    planned = []
+
+    def plan_gte(items, max_bound, budget=None):
+        planned.append(len(items))
+        return encodings.plan_gte(items, max_bound, budget)
+
+    monkeypatch.setattr(search, "plan_gte", plan_gte)
+    report = search.solve(f, weight_cfg(0))
+    assert report.warm == (1, 1, 1) and report.trace[0][1] == 9
+    assert report.status == OPTIMUM_FOR_APPROXIMATION and report.exact
+    assert report.cost == 4
+    # the floored encoding (x1, x2, z, m) is sized and built between the
+    # exact one's sizing at the first bound and its build at the best cost
+    assert planned == [11, 4, 11]
+    assert [e.inputs for e in report.encoders] == [4, 11]
+    # without the stage the build uses the one plan made to size it
+    monkeypatch.setattr(search, "WARM_CHARGE", 1 << 15)
+    planned.clear()
+    report = search.solve(f, weight_cfg(0))
+    assert report.exact and report.cost == 4 and report.warm is None
+    assert planned == [11] and [e.inputs for e in report.encoders] == [11]
+
+
+def test_forced_floored_stage_matches_oracle(monkeypatch):
+    # weights times 1, 7 or 31, so flooring drops some inputs
+    monkeypatch.setattr(search, "WARM_CHARGE", 0)
+    rng = seeded_rng(1818)
+    staged = 0
+    for trial in range(40):
+        f = harness.random_wcnf(rng)
+        f = wcnf.WcnfFormula(f.num_vars, f.hard,
+                             [(c, w * rng.choice((1, 7, 31))) for c, w in f.soft])
+        opt = harness.brute_force_optimum(f)[0]
+        report = search.solve(f, weight_cfg(0, seed=trial))
+        if report.exact:
+            assert report.cost == opt
+        else:  # the exact build is over the cap
+            assert report.fallbacks and report.warm is None
+        if report.warm is not None:
+            k, first, last = report.warm
+            assert k >= 1 and first >= last >= 0
+            staged += first > 0  # a floored encoding was built and searched
+    assert staged >= 25
+
+
+# ----------------------------------------------------------------------
 # pinned search path
 
 PAPER_CONFIGS = ([weight_cfg(m) for m in (0, 1, 2, 3, "weights")]
@@ -584,7 +646,7 @@ def test_search_reports_are_pinned(monkeypatch):
     # (conflicts, path digest)
     assert paths == {
         "random": (12, "cff3371fd7704816"),
-        "fidelity": (253, "6f8e920d7ed78e11"),
+        "fidelity": (231, "21a6757563148d1c"),
         "three-tier": (411, "502152ad74745c4f"),
         "capped": (1, "727cbd90196d3efa"),
         "planted": (203, "25a5b66ec50a66e7"),
