@@ -581,6 +581,12 @@ def test_forced_floored_stage_matches_oracle(monkeypatch):
             k, first, last = report.warm
             assert k >= 1 and first >= last >= 0
             staged += first > 0  # a floored encoding was built and searched
+        # a budget that runs out in any phase ends with a valid model, and
+        # claims no optimum
+        cut = search.solve(f, weight_cfg(0, seed=trial, max_conflicts=trial % 5))
+        if cut.best is not None:
+            assert wcnf.check_model(f, cut.best.assignment) == ("valid", cut.cost)
+        assert not cut.exact or cut.cost == opt
     assert staged >= 25
 
 
