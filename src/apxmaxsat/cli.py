@@ -242,7 +242,7 @@ def _cmd_encode(args) -> int:
         if args.inputs is None or args.inputs < 1:
             print("apxmaxsat: card needs --inputs N (N >= 1)", file=sys.stderr)
             return EXIT_ERROR
-        if args.inputs > MAX_GTE_CLAUSES:  # N > 1 inputs take at least N clauses
+        if args.inputs > MAX_GTE_CLAUSES:  # the output links alone pass the cap
             print(f"apxmaxsat: encoding over {MAX_GTE_CLAUSES} clauses", file=sys.stderr)
             return EXIT_ERROR
         weights = [1] * args.inputs

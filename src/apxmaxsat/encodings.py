@@ -30,21 +30,18 @@ so a bound can be tried and retracted. A lone input is the root's left
 child, with no right one.
 
 A GTE is built in two passes over the tree. The first computes every
-node's sorted sums and adds up each node's charge, |L| + |R| + |L|*|R| for
-children with |L| and |R| sums plus one per child whose inputs can pass
-max_bound: the clauses it would emit if every overflowing pair had a clause
-of its own. The root is charged likewise, though it emits about |L| + 2|R|
-clauses: that keeps the cap's refusals, and with them the search's
-fallbacks, independent of how the root is encoded. The first pass raises
-EncodingTooLarge, before walking a node's pairs of sums, once the total
-charge would pass MAX_GTE_CLAUSES. Only then does the second pass create
-the variables and emit the clauses, children first, so a refused encoding
-leaves its sink untouched. plan_gte is the first pass on its own: its
-GtePlan holds the charge, so a caller can size an encoding before deciding
-to build it, and a build handed the plan does not size it again. An
-optional satcore.Budget is polled once per merge node in both passes and
-once per row of a node's pairs while emitting; when it has run out the
-build raises EncodingInterrupted.
+node's sorted sums and cuts, and adds up each node's charge: the clauses
+the second pass will emit for it, so a complete build emits exactly its
+charge. It raises EncodingTooLarge, before walking a node's pairs of sums,
+once the total charge would pass MAX_GTE_CLAUSES. Only then does the
+second pass create the variables and emit the clauses, children first,
+reading each node's cuts from the first, so a refused encoding leaves its
+sink untouched. plan_gte is the first pass on its own: its GtePlan holds
+the charge, so a caller can size an encoding before deciding to build it,
+and a build handed the plan does not size it again. An optional
+satcore.Budget is polled once per merge node in both passes and once per
+row of a node's pairs while emitting; when it has run out the build raises
+EncodingInterrupted.
 
 Totalizer is the GTE's unit-weight case capped at the input count, so
 set_bound(k) enforces "at most k inputs true".
@@ -125,8 +122,8 @@ class CnfBuffer:
 class GtePlan(NamedTuple):
     """A GTE sized by plan_gte and not yet built: its inputs, cap and charge,
     and the plans of the root's two subtrees (right is None for a lone
-    input), each (ascending sums <= max_bound, whether its inputs can pass
-    max_bound, left plan, right plan)."""
+    input), each (ascending sums <= max_bound, the cut of each left sum,
+    left plan, right plan), with cuts, left and right None at a leaf."""
 
     pairs: list[tuple[int, int]]
     max_bound: int
@@ -152,50 +149,63 @@ def plan_gte(items, max_bound: int, budget=None) -> GtePlan:
     half = len(pairs) // 2 or 1
     size = [0]
     left = _plan(pairs[:half], max_bound, size, budget)
-    right = None
-    if pairs[half:]:
-        right = _plan(pairs[half:], max_bound, size, budget)
-        _poll(budget)
-        _charge(size, len(left[0]), len(right[0]), left[1] + right[1])
+    right = _plan(pairs[half:], max_bound, size, budget) if pairs[half:] else None
+    _poll(budget)
+    # the order variables' links and chain, and a staircase row for each
+    # left sum, 0 included, that some right sum takes past max_bound
+    rsums = right[0] if right else []
+    nr = len(rsums)
+    _charge(size, 2 * nr - bool(nr) + sum(
+        bisect_right(rsums, max_bound - sa) < nr for sa in [0] + left[0]))
     return GtePlan(pairs, max_bound, size[0], left, right)
 
 
-def _charge(size, nl, nr, over) -> None:
-    """Add a merge node's charge for children of nl and nr sums, over of
-    which can pass max_bound, to size[0]; raise EncodingTooLarge if the
-    total passes the cap."""
-    size[0] += nl + nr + nl * nr + over
+def _charge(size, clauses) -> None:
+    """Add a node's clauses to size[0]; raise EncodingTooLarge if the total
+    passes the cap."""
+    size[0] += clauses
     if size[0] > MAX_GTE_CLAUSES:
         raise EncodingTooLarge(f"encoding over {MAX_GTE_CLAUSES} clauses")
 
 
+def _links(nl, nr, cuts) -> int:
+    """A merge node's clauses besides its rows', for children of nl and nr
+    sums and the left sums' cuts: the nl + nr output links, one ladder link
+    per right output from the lowest rung up, and one chain clause per rung
+    but the first. Row i adds cuts[i] fit clauses and, if cuts[i] < nr, a
+    rung clause."""
+    steps = {j for j in cuts if j < nr}
+    return nl + 2 * nr - min(steps, default=nr) + max(len(steps) - 1, 0)
+
+
 def _plan(pairs, max_bound, size, budget):
     """The plan of the subtree on pairs: (its ascending sums <= max_bound,
-    whether its inputs can pass max_bound, left plan, right plan). Adds
-    each node's charge to size[0], and raises EncodingTooLarge before
-    walking a node's pairs if that would pass the cap."""
+    the cut of each left sum, left plan, right plan). Adds each node's
+    charge to size[0], and raises EncodingTooLarge before walking a node's
+    pairs if that would pass the cap."""
     if len(pairs) == 1:
         w = pairs[0][1]
         if w > max_bound:
-            return [], True, None, None
-        return [w], False, None, None
+            _charge(size, 1)  # the unit forbidding it
+            return [], None, None, None
+        return [w], None, None, None
     half = len(pairs) // 2
     left = _plan(pairs[:half], max_bound, size, budget)
     right = _plan(pairs[half:], max_bound, size, budget)
     _poll(budget)
-    lsums, lover = left[0], left[1]
-    rsums, rover = right[0], right[1]
-    _charge(size, len(lsums), len(rsums), lover + rover)
+    lsums, rsums = left[0], right[0]
+    nr = len(rsums)
+    # row sa pairs with the right sums before its cut, the first index
+    # whose sum takes sa past max_bound
+    cuts = [bisect_right(rsums, max_bound - sa) for sa in lsums]
+    _charge(size, _links(len(lsums), nr, cuts) + sum(j + (j < nr) for j in cuts))
     reach = set(lsums)
     reach.update(rsums)
-    for sa in lsums:
-        fit = bisect_right(rsums, max_bound - sa)
+    for sa, fit in zip(lsums, cuts):
         if not fit:
             break  # lsums ascend, so no later row fits either
         reach.update(map(sa.__add__, rsums[:fit]))
-    over = lover or rover or bool(
-        lsums and rsums and lsums[-1] + rsums[-1] > max_bound)
-    return sorted(reach), over, left, right
+    return sorted(reach), cuts, left, right
 
 
 class GeneralizedTotalizer:
@@ -251,7 +261,7 @@ class GeneralizedTotalizer:
         """Pass 2 over the subtree on pairs: create the planned outputs and
         rungs and emit the clauses, children first. Returns the subtree's
         (sum, literal) outputs."""
-        sums, _, left, right = plan
+        sums, cuts, left, right = plan
         if left is None:
             lit = pairs[0][0]
             if not sums:  # heavier than max_bound on its own
@@ -263,9 +273,8 @@ class GeneralizedTotalizer:
         lsums = self._emit(pairs[:half], left, sink, budget)
         rsums = self._emit(pairs[half:], right, sink, budget)
         _poll(budget)
-        # row sa pairs with the right sums before its cut, the first index
-        # whose sum takes sa + sb past max_bound; each distinct cut is a rung
-        cuts = [bisect_right(right[0], self.max_bound - sa) for sa, _ in lsums]
+        # row sa pairs with the right sums before its cut; each distinct cut
+        # is a rung
         out = {s: sink.new_var(decision=False) for s in sums}
         rung = {j: sink.new_var(decision=False)
                 for j in sorted(set(cuts)) if j < len(rsums)}
@@ -288,10 +297,7 @@ class GeneralizedTotalizer:
         steps = list(rung)
         for lo, hi in zip(steps, steps[1:]):
             sink.add_clause([-rung[hi], rung[lo]])
-        # the outputs' clauses, one link per right output from the lowest
-        # rung up, and the rungs' chain
-        self.clauses += (len(lneg) + 2 * len(rneg) - min(steps, default=len(rneg))
-                         + max(len(steps) - 1, 0))
+        self.clauses += _links(len(lneg), len(rneg), cuts)
         for (sa, na), fit in zip(lneg, cuts):
             _poll(budget)
             for sb, nb in rneg[:fit]:

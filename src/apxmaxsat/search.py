@@ -44,11 +44,22 @@ descends to the same final UNSAT as without the stage, so the answer is
 the same proven optimum. SearchReport.warm holds (k, first floored cost,
 last floored cost), or None when no stage ran; its floored build is
 logged in encoders before the exact one. WARM_CHARGE was set against the
-benchmark's instance families: fidelity_family's exact encodings, charged
-71k-89k at their first bounds (17k-31k clauses), take the stage, while
-those of the planted 3-CNF instances (charged at most 10k) and of
-wide-weights instances of 12-14 units (3.7k-16.6k) are built at once, and
-an encoding over the cap (wide-weights at 19 units) falls back as below.
+clauses the exact build emits at its first bound (its charge; see
+encodings) on the benchmark's instance families, perfbench seeds 1-3
+(batches 0-2) and 201-203:
+
+    family                            clauses       floored stage
+    fidelity-sweep                    15.3k-22.6k   yes
+    wide-weights-cli, 19 units        4.11k-4.24k   yes
+    planted-large                     2.4k-4.2k     yes
+    wide-weights-cli, 12-14 units     334-695       no
+    perfbench's tracer test instance  133           no
+
+At 1 << 13 only fidelity-sweep would take the stage, and the 19-unit
+exact encoding, built at once, solves in 0.036-0.044 s against
+0.028-0.029 s with the stage (seeds 201-203, in one process on a 2-vCPU
+VM). With no threshold every small exact build pays for a second one,
+and perfbench's tracer test, which expects one build, fails.
 
 No encoding is charged past encodings.MAX_GTE_CLAUSES (see encodings).
 When apx-weight's would be, the search falls back to coarser weights, the
@@ -102,7 +113,7 @@ APX_SUBPROB = "apx-subprob"
 CLUSTERS_WEIGHTS = "weights"  # sentinel: m = number of distinct weights
 
 # an exact build charged more than this is warm-started (see the module docstring)
-WARM_CHARGE = 1 << 15
+WARM_CHARGE = 1 << 10
 
 OPTIMUM_FOR_APPROXIMATION = "optimum_for_approximation"
 SATISFIABLE = "satisfiable"

@@ -109,9 +109,9 @@ def test_verbose_comments_prefixed(e1_path):
 
 
 def test_verbose_prints_each_fallback_to_coarser_clusters(tmp_path):
-    # 20 units with weights 2^0..2^19, paired by hard clauses; the exact
+    # 36 units with weights 2^0..2^35, paired by hard clauses; the exact
     # GTE of the first model's cost is over the clause cap
-    n = 20
+    n = 36
     f = wcnf.WcnfFormula(n, [wcnf.Clause.of([2 * i + 1, 2 * i + 2]) for i in range(n // 2)],
                          [(wcnf.Clause.of([-v]), 1 << (v - 1)) for v in range(1, n + 1)])
     p = tmp_path / "wide.wcnf"
@@ -119,7 +119,7 @@ def test_verbose_prints_each_fallback_to_coarser_clusters(tmp_path):
     r = run_cli("solve", str(p), "--algorithm", "apx-weight", "--clusters", "0",
                 "--verbosity", "1")
     fallbacks = [line for line in r.stdout.splitlines() if line.startswith("c encoding")]
-    assert fallbacks[0] == "c encoding over 262144 clauses at m=20; retrying at m=10"
+    assert fallbacks[0] == "c encoding over 262144 clauses at m=36; retrying at m=18"
     assert s_lines(r.stdout) == ["s SATISFIABLE"] and r.returncode == 10
     quiet = run_cli("solve", str(p), "--algorithm", "apx-weight", "--clusters", "0")
     assert quiet.stdout == "\n".join(
@@ -127,9 +127,10 @@ def test_verbose_prints_each_fallback_to_coarser_clusters(tmp_path):
 
 
 def test_verbose_prints_each_encoder_build(tmp_path, e1_path):
-    # the 20 units of the fallback test above: the exact build is refused
-    # and the one at m=10 fits; e1's exact GTE over its 2 soft clauses fits
-    n = 20
+    # the 36 units of the fallback test above: the exact build and the one
+    # at m=18 are refused, and the one at m=9 fits; e1's exact GTE over its
+    # 2 soft clauses fits
+    n = 36
     f = wcnf.WcnfFormula(n, [wcnf.Clause.of([2 * i + 1, 2 * i + 2]) for i in range(n // 2)],
                          [(wcnf.Clause.of([-v]), 1 << (v - 1)) for v in range(1, n + 1)])
     p = tmp_path / "wide.wcnf"
@@ -137,11 +138,13 @@ def test_verbose_prints_each_encoder_build(tmp_path, e1_path):
     r = run_cli("solve", str(p), "--algorithm", "apx-weight", "--clusters", "0",
                 "--verbosity", "1")
     lines = [line for line in r.stdout.splitlines() if line.startswith("c encod")]
-    assert lines[:2] == ["c encoder inputs=20 clauses=0 variables=0 refused=1",
-                         "c encoding over 262144 clauses at m=20; retrying at m=10"]
+    assert lines[:4] == ["c encoder inputs=36 clauses=0 variables=0 refused=1",
+                         "c encoding over 262144 clauses at m=36; retrying at m=18",
+                         "c encoder inputs=36 clauses=0 variables=0 refused=1",
+                         "c encoding over 262144 clauses at m=18; retrying at m=9"]
     built = [dict(token.split("=") for token in line.split()[2:])
-             for line in lines[2:]]
-    assert len(built) == 1 and built[0]["inputs"] == "20" and built[0]["refused"] == "0"
+             for line in lines[4:]]
+    assert len(built) == 1 and built[0]["inputs"] == "36" and built[0]["refused"] == "0"
     assert int(built[0]["clauses"]) > 0 and int(built[0]["variables"]) > 0
     r = run_cli("solve", e1_path, "--algorithm", "apx-weight", "--clusters", "0",
                 "--verbosity", "1")
@@ -317,13 +320,13 @@ def test_encode_pb_dump_semantics():
 
 
 def test_encode_pb_over_the_cap_exit_one():
-    # weights 2^0..2^19 reach every sum below 2^20: far over the clause cap
-    weights = ",".join(str(1 << i) for i in range(20))
+    # weights 2^0..2^35 reach every sum below 2^36: far over the clause cap
+    weights = ",".join(str(1 << i) for i in range(36))
     r = run_cli("encode", "pb", "--weights", weights, "--bound", "5")
     assert_clean_error(r)
     assert r.stdout == ""
-    # a counter over N > 1 inputs takes at least N clauses: refused before
-    # anything of size N is built
+    # past MAX_GTE_CLAUSES inputs the output links alone pass the cap:
+    # refused before anything of size N is built
     for n in (cli.MAX_GTE_CLAUSES + 1, 10 ** 12):
         r = run_cli("encode", "card", "--inputs", str(n), "--bound", "5")
         assert_clean_error(r)

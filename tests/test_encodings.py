@@ -264,29 +264,23 @@ def test_gte_clause_list_is_pinned(seed, clauses, num_vars, digest):
 def one_pass_gte(items, max_bound, sink):
     """The one-pass merge-tree builder that sizing before emitting split
     in two, with the root's staircase for max_bound, kept as the reference
-    for the clauses and variables the GTE makes and for the charge its cap
-    counts. Returns the charge."""
-    charge = 0
+    for the clauses and variables the GTE makes."""
 
-    def build(pairs):  # -> (sums, whether the inputs can pass max_bound)
-        nonlocal charge
+    def build(pairs):  # -> sums
         if len(pairs) == 1:
             lit, w = pairs[0]
             if w > max_bound:
                 sink.add_clause([-lit])
-                return [], True
-            return [(w, lit)], False
+                return []
+            return [(w, lit)]
         half = len(pairs) // 2
-        lsums, lover = build(pairs[:half])
-        rsums, rover = build(pairs[half:])
-        charge += len(lsums) + len(rsums) + len(lsums) * len(rsums) + lover + rover
+        lsums = build(pairs[:half])
+        rsums = build(pairs[half:])
         reach = {s for s, _ in lsums} | {s for s, _ in rsums}
-        over = lover or rover
         cut = {}  # left sum -> least right sum that takes it past max_bound
         for sa, _ in lsums:
             for sb, _ in rsums:
                 if sa + sb > max_bound:
-                    over = True
                     cut.setdefault(sa, sb)
                 else:
                     reach.add(sa + sb)
@@ -307,17 +301,15 @@ def one_pass_gte(items, max_bound, sink):
                     sink.add_clause([-la, -lb, out[sa + sb]])
             if sa in cut:
                 sink.add_clause([-la, -rung[cut[sa]]])
-        return [(s, out[s]) for s in sorted(reach)], over
+        return [(s, out[s]) for s in sorted(reach)]
 
-    # the root: a left child and, unless there is one input, a right one,
-    # charged as a merge node; an order variable per right sum and a
-    # staircase row per left sum, 0 included
+    # the root: a left child and, unless there is one input, a right one;
+    # an order variable per right sum and a staircase row per left sum, 0
+    # included
     pairs = [(int(l), int(w)) for l, w in items]
     half = len(pairs) // 2 or 1
-    lsums, lover = build(pairs[:half])
-    rsums, rover = build(pairs[half:]) if pairs[half:] else ([], False)
-    if pairs[half:]:
-        charge += len(lsums) + len(rsums) + len(lsums) * len(rsums) + lover + rover
+    lsums = build(pairs[:half])
+    rsums = build(pairs[half:]) if pairs[half:] else []
     u = [sink.new_var() for _ in rsums]
     for (_, lb), uj in zip(rsums, u):
         sink.add_clause([-lb, uj])
@@ -327,7 +319,6 @@ def one_pass_gte(items, max_bound, sink):
         over = [j for j, (sb, _) in enumerate(rsums) if sa + sb > max_bound]
         if over:
             sink.add_clause(([] if la is None else [-la]) + [-u[over[0]]])
-    return charge
 
 
 def test_gte_matches_one_pass_reference_seeded_trials():
@@ -350,28 +341,36 @@ def test_gte_matches_one_pass_reference_seeded_trials():
 
 
 def test_gte_cap_counts_the_charge(monkeypatch):
-    # each merge node is charged |L| + |R| + |L|*|R| plus one per child that
-    # can pass max_bound, whatever it emits: the cap refuses on the charge
+    # a node is charged exactly the clauses it emits, so a complete build
+    # emits its charge: the cap builds at the charge and refuses one clause
+    # short of it, leaving the sink untouched
     rng = random.Random(31)
-    for trial in range(30):
-        weights = random_weights(rng, max_inputs=12, max_weight=40)
-        items = list(zip(range(1, len(weights) + 1), weights))
+    heavy = lone = guarded = 0
+    for trial in range(300):
+        weights = random_weights(rng, max_inputs=12,
+                                 max_weight=rng.choice((8, 60, 10 ** 6)))
+        n = len(weights)
+        items = [(v if rng.random() < 0.5 else -v, w)
+                 for v, w in enumerate(weights, start=1)]
         cap = rng.randint(0, sum(weights))
-        reference = CnfBuffer(len(items))
-        charge = one_pass_gte(items, cap, reference)
-        monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", charge)
+        guard = n + 1 if trial % 3 == 0 else None
         plan = plan_gte(items, cap)
-        assert plan.charge == charge
-        at_cap, planned = CnfBuffer(len(items)), CnfBuffer(len(items))
-        GeneralizedTotalizer(items, cap, at_cap)
-        GeneralizedTotalizer(items, cap, planned, plan=plan)  # built as planned
-        assert at_cap.clauses == planned.clauses == reference.clauses
-        if len(items) > 1:  # a lone input is no merge node and is never charged
-            monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", charge - 1)
-            over = CnfBuffer(len(items))
+        heavy += max(weights) > cap
+        lone += n == 1
+        guarded += guard is not None
+        with monkeypatch.context() as m:
+            m.setattr(encodings, "MAX_GTE_CLAUSES", plan.charge)
+            planned, at_cap = CnfBuffer(n + 1), CnfBuffer(n + 1)
+            enc = GeneralizedTotalizer(items, cap, planned, plan=plan, guard=guard)
+            assert plan.charge == enc.clauses == len(planned.clauses)
+            GeneralizedTotalizer(items, cap, at_cap, guard=guard)
+            assert at_cap.clauses == planned.clauses
+            m.setattr(encodings, "MAX_GTE_CLAUSES", plan.charge - 1)
+            over = CnfBuffer(n + 1)
             with pytest.raises(EncodingTooLarge):
-                GeneralizedTotalizer(items, cap, over)
-            assert (over.num_vars, over.clauses) == (len(items), [])
+                GeneralizedTotalizer(items, cap, over, guard=guard)
+            assert (over.num_vars, over.clauses) == (n + 1, [])
+    assert heavy >= 30 and lone >= 10 and guarded >= 30
 
 
 def test_gte_clauses_hold_at_most_one_positive_created_literal():
@@ -434,38 +433,42 @@ def test_gte_enforces_max_bound_when_built_seeded_trials():
             == arithmetic_models(weights, cap)
 
 
-def test_gte_fidelity_objective_emits_well_under_its_charge():
+def pairwise_size(plan):
+    """The clauses of a GTE on plan's tree with one clause per pair of a
+    merge node's children's sums, root included, as before the threshold
+    ladder and the staircase: |L| + |R| + |L|*|R| per merge node."""
+    def node(left, right):
+        nl, nr = len(left[0]), len(right[0])
+        return nl + nr + nl * nr
+
+    def walk(p):
+        _, _, left, right = p
+        return 0 if left is None else walk(left) + walk(right) + node(left, right)
+
+    if plan.right is None:
+        return walk(plan.left)
+    return walk(plan.left) + walk(plan.right) + node(plan.left, plan.right)
+
+
+def test_gte_fidelity_objective_emits_well_under_the_pairwise_size():
     # the exact objective of a fidelity instance at its first bound, the
     # sum of its mid-tier weights (each pair's u unit comes first)
     f = harness.fidelity_family(seeded_rng(20250810))
     items = [(v, w) for v, (_, w) in enumerate(f.soft, start=1)]
     first_bound = sum(w for _, w in f.soft[0:16:2])
-    reference = CnfBuffer(len(items))
-    charge = one_pass_gte(items, first_bound, reference)
+    plan = plan_gte(items, first_bound)
     buf = CnfBuffer(len(items))
-    GeneralizedTotalizer(items, first_bound, buf)
-    assert len(buf.clauses) < 0.4 * charge
-
-
-def test_gte_root_emits_a_fraction_of_its_charge():
-    # 14 distinct weights at half their total: the root is charged one
-    # clause per pair of its children's sums, and emits about |L| + 2|R|
-    rng = random.Random(14)
-    items = list(zip(range(1, 15), rng.sample(range(1, 10 ** 6 + 1), 14)))
-    cap = sum(w for _, w in items) // 2
-    charge = one_pass_gte(items, cap, CnfBuffer(14))
-    buf = CnfBuffer(14)
-    GeneralizedTotalizer(items, cap, buf)
-    assert len(buf.clauses) < 0.1 * charge
+    GeneralizedTotalizer(items, first_bound, buf, plan=plan)
+    assert len(buf.clauses) < 0.4 * pairwise_size(plan)
 
 
 def test_gte_over_cap_leaves_sink_untouched():
-    # weights 2^0..2^19 reach every sum below 2^20, far past the cap
-    items = [(v, 1 << (v - 1)) for v in range(1, 21)]
-    buf = CnfBuffer(20)
+    # weights 2^0..2^35 reach every sum below 2^36, far past the cap
+    items = [(v, 1 << (v - 1)) for v in range(1, 37)]
+    buf = CnfBuffer(36)
     with pytest.raises(EncodingTooLarge):
-        GeneralizedTotalizer(items, (1 << 20) - 1, buf)
-    assert (buf.num_vars, buf.clauses) == (20, [])
+        GeneralizedTotalizer(items, (1 << 36) - 1, buf)
+    assert (buf.num_vars, buf.clauses) == (36, [])
 
 
 def test_gte_build_stops_when_the_budget_runs_out():

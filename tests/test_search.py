@@ -343,7 +343,7 @@ def planted(rng, n=400, units=12, pairs=6):
 
 
 @pytest.mark.parametrize("make, timeout_s", [
-    (lambda rng: wide_weights(rng, 24), 2.0),
+    (lambda rng: wide_weights(rng, 44), 2.0),
     (three_tier, 3.0),
 ])
 def test_over_cap_exact_search_returns_a_model_in_time(make, timeout_s):
@@ -357,8 +357,18 @@ def test_over_cap_exact_search_returns_a_model_in_time(make, timeout_s):
     assert verdict == "valid" and cost == report.best.true_cost
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_wide_weights_at_19_units_solve_exactly(seed):
+    # the exact GTE at the first bound emits a few thousand clauses, well
+    # under the cap, and is warm-started from floored weights
+    f = wide_weights(seeded_rng(seed), 19)
+    report = search.solve(f, weight_cfg(0))
+    assert report.exact and report.fallbacks == [] and report.warm is not None
+    assert report.cost == harness.brute_force_optimum(f)[0]
+
+
 def test_fallback_minimizes_the_coarser_clusters(monkeypatch):
-    monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 60)
+    monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 50)
     partition = clustering.partition
     schemes = []  # every weight scheme the search partitions, in order
 
@@ -404,7 +414,7 @@ def test_fallback_minimizes_the_coarser_clusters(monkeypatch):
 
 def test_best_model_is_repriced_under_the_scheme_fallen_back_to(monkeypatch):
     # the best model is found before the fallbacks and never improved on
-    monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 60)
+    monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 50)
     rng = seeded_rng(8080)
     for _ in range(12):
         f = harness.random_wcnf(rng, max_vars=10, max_clauses=16)
@@ -645,15 +655,15 @@ def test_search_reports_are_pinned(monkeypatch):
     assert decisions == {
         "random": (54, 0, "12c7213e2f7cc745"),
         "fidelity": (9, 0, "5cd3972dd2043f19"),
-        "three-tier": (9, 4, "b796d43d323b6417"),
-        "capped": (54, 31, "f0daf8dac6e0a4f4"),
+        "three-tier": (9, 0, "0df83cc04636ced0"),
+        "capped": (54, 30, "8a01fbdf75bbb06b"),
         "planted": (9, 0, "dfbf6b95d203e818"),
     }
     # (conflicts, path digest)
     assert paths == {
         "random": (12, "cff3371fd7704816"),
         "fidelity": (231, "21a6757563148d1c"),
-        "three-tier": (411, "502152ad74745c4f"),
-        "capped": (1, "727cbd90196d3efa"),
-        "planted": (203, "25a5b66ec50a66e7"),
+        "three-tier": (381, "5f2c261b0b5a6fed"),
+        "capped": (2, "f56c515c11cb26c5"),
+        "planted": (217, "fa221847ffa7a5f0"),
     }
