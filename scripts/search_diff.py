@@ -9,11 +9,12 @@ instances are seeded harness.random_wcnf, random_bmo_wcnf and
 fidelity_family instances (seeds 0..N-1 of each, drawn here), plus every
 *.wcnf file in --dir; both sides get the same WDIMACS text, and the solver
 seed of each report is its instance's index. Prints how many reports
-differ in status, bounds, exact, clusters, fallbacks, cost, trace costs or
-solver_stats, naming each on stderr, and exits 1 if any does. --answers
-compares only status, bounds, exact, clusters, fallbacks and cost, for a
-change that may move the search's path (its trace and solver stats) but
-not its answers.
+differ in status, bounds, exact, clusters, fallbacks, cost, trace costs,
+solver_stats, encoders (each build's inputs, clauses, variables and
+refusal) or warm, naming each on stderr, and exits 1 if any does.
+--answers compares only status, bounds, exact, clusters, fallbacks and
+cost, for a change that may move the search's path (its trace, solver
+stats and encoder builds) but not its answers.
 
     python scripts/search_diff.py --root ../parent --seeds 20 --dir suite/
     python scripts/search_diff.py --root ../parent --seeds 20 --answers
@@ -29,12 +30,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ANSWERS = ("status", "bounds", "exact", "clusters", "fallbacks", "cost")
-FIELDS = ANSWERS + ("trace_costs", "solver_stats")
+FIELDS = ANSWERS + ("trace_costs", "solver_stats", "encoders", "warm")
 
 # Run in each checkout: reads a JSON list of WDIMACS texts on stdin and
 # prints one JSON list of reports, nine per instance.
 CHILD = """
-import json, sys
+import dataclasses, json, sys
 from apxmaxsat import search, wcnf
 from apxmaxsat.search import APX_SUBPROB, APX_WEIGHT, SearchConfig
 configs = ([(APX_WEIGHT, m) for m in (0, 1, 2, 3, "weights")]
@@ -49,7 +50,9 @@ for i, text in enumerate(json.load(sys.stdin)):
                     "bounds": r.bounds, "exact": r.exact, "clusters": r.clusters,
                     "fallbacks": r.fallbacks, "cost": r.cost,
                     "trace_costs": [c for _, c in r.trace],
-                    "solver_stats": r.solver_stats})
+                    "solver_stats": r.solver_stats,
+                    "encoders": [dataclasses.astuple(e) for e in r.encoders],
+                    "warm": r.warm})
 json.dump(out, sys.stdout)
 """
 
@@ -62,7 +65,8 @@ def parse_args(argv):
                         help="instances drawn per seeded family (default 10)")
     parser.add_argument("--dir", type=Path, help="also run every *.wcnf file here")
     parser.add_argument("--answers", action="store_true",
-                        help="compare the answers only, not trace costs or solver stats")
+                        help="compare the answers only, not trace costs, solver stats, "
+                             "encoders or warm")
     args = parser.parse_args(argv)
     if not (args.root / "src" / "apxmaxsat").is_dir():
         parser.error(f"--root {args.root} has no src/apxmaxsat")

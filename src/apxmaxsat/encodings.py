@@ -17,31 +17,34 @@ each rung implies the one below, and one binary clause forbids sa with its
 cut's rung. That replaces one clause per overflowing pair of sums.
 
 The root has no outputs, since a linear search asks it one question only:
-is the sum at most B? It holds one order variable u_j per sum rsums[j] of
-its right child, "the right sum reaches rsums[j]", tied to the child by
-[-b_j, u_j] and [-u_j, u_(j-1)]. "Sum <= B" is a staircase of one clause
-per left sum sa, 0 included: [-a_sa, -u_cut] with cut the least j such
-that sa + rsums[j] > B, or [-a_sa] when sa > B alone (no clause when no
-right sum passes B). Unit propagation on it matches that of a root with
+is the sum at most B? Its order variables are the same ladder over its
+right child with a rung at every right sum: u_j, "the right sum reaches
+rsums[j]", tied to the child by [-b_j, u_j] and [-u_j, u_(j-1)], one ladder
+routine serving the root and every merge node. "Sum <= B" is a staircase of
+one clause per left sum sa, 0 included: [-a_sa, -u_cut] with cut the least
+j such that sa + rsums[j] > B, or [-a_sa] when sa > B alone (no clause when
+no right sum passes B). Unit propagation on it matches that of a root with
 one output per sum whose outputs above B are negated. The build emits the
-staircase for max_bound, set_bound(b) the rows that change at b, for
-good, and at_most(b) the same rows guarded by a fresh selector literal,
-so a bound can be tried and retracted. A lone input is the root's left
-child, with no right one.
+staircase for max_bound, set_bound(b) the rows that change at b, for good,
+and at_most(b) the same rows guarded by a fresh selector literal, so a
+bound can be tried and retracted. A lone input is the root's left child,
+with no right one.
 
-A GTE is built in two passes over the tree. The first computes every
-node's sorted sums and cuts, and adds up each node's charge: the clauses
-the second pass will emit for it, so a complete build emits exactly its
-charge. It raises EncodingTooLarge, before walking a node's pairs of sums,
-once the total charge would pass MAX_GTE_CLAUSES. Only then does the
-second pass create the variables and emit the clauses, children first,
-reading each node's cuts from the first, so a refused encoding leaves its
-sink untouched. plan_gte is the first pass on its own: its GtePlan holds
-the charge, so a caller can size an encoding before deciding to build it,
-and a build handed the plan does not size it again. An optional
-satcore.Budget is polled once per merge node in both passes and once per
-row of a node's pairs while emitting; when it has run out the build raises
-EncodingInterrupted.
+A GTE is built in two passes. The first, plan_gte, is the only walk of the
+input tree: it computes every node's sorted sums and cuts, and adds up each
+node's charge, the clauses the second pass will emit for it. It raises
+EncodingTooLarge, before walking a node's pairs of sums, once the total
+charge would pass MAX_GTE_CLAUSES. Its GtePlan is the tree, each leaf
+holding its literal, so the second pass walks the plan alone: only then are
+the variables created and the clauses emitted, children first, so a refused
+encoding leaves its sink untouched. The charge is the only prediction of an
+encoding's size, and a complete build emits exactly it; the GTE keeps no
+count of its own, and a sink that wants one counts what it receives
+(satcore.SatSolver.clauses_added). A caller can size an encoding before
+deciding to build it, and a build handed the plan does not size it again.
+An optional satcore.Budget is polled once per merge node in both passes and
+once per row of a node's pairs while emitting; when it has run out the
+build raises EncodingInterrupted.
 
 Totalizer is the GTE's unit-weight case capped at the input count, so
 set_bound(k) enforces "at most k inputs true".
@@ -84,11 +87,8 @@ class EncodingTooLarge(ValueError):
 
 
 class EncodingInterrupted(Exception):
-    """The budget ran out while a GTE was being built; the sink keeps the
-    clauses emitted so far, self.clauses of them (0 if it ran out while
-    sizing)."""
-
-    clauses = 0
+    """The budget ran out while a GTE was being sized or built; the sink
+    keeps the clauses emitted so far, none if it ran out while sizing."""
 
 
 def _poll(budget) -> None:
@@ -120,12 +120,13 @@ class CnfBuffer:
 
 
 class GtePlan(NamedTuple):
-    """A GTE sized by plan_gte and not yet built: its inputs, cap and charge,
-    and the plans of the root's two subtrees (right is None for a lone
-    input), each (ascending sums <= max_bound, the cut of each left sum,
-    left plan, right plan), with cuts, left and right None at a leaf."""
+    """A GTE sized by plan_gte and not yet built: its cap, its charge (the
+    clauses a complete build emits) and the plans of the root's two
+    subtrees, right None for a lone input. A leaf's plan is (its sums <=
+    max_bound, its literal): ([weight], lit), or ([], lit) when the weight
+    alone passes max_bound. A merge node's is (its ascending sums <=
+    max_bound, the cut of each left sum, left plan, right plan)."""
 
-    pairs: list[tuple[int, int]]
     max_bound: int
     charge: int
     left: tuple
@@ -136,8 +137,7 @@ def plan_gte(items, max_bound: int, budget=None) -> GtePlan:
     """Pass 1 of a GTE over (literal, positive weight) items capped at
     max_bound: size it without creating a variable or emitting a clause.
     Raises ValueError on bad input, EncodingTooLarge once the charge would
-    pass MAX_GTE_CLAUSES and EncodingInterrupted (0 clauses) when the
-    budget runs out."""
+    pass MAX_GTE_CLAUSES and EncodingInterrupted when the budget runs out."""
     pairs = [(int(l), int(w)) for l, w in items]
     if not pairs:
         raise ValueError("totalizer needs at least one input")
@@ -151,13 +151,13 @@ def plan_gte(items, max_bound: int, budget=None) -> GtePlan:
     left = _plan(pairs[:half], max_bound, size, budget)
     right = _plan(pairs[half:], max_bound, size, budget) if pairs[half:] else None
     _poll(budget)
-    # the order variables' links and chain, and a staircase row for each
-    # left sum, 0 included, that some right sum takes past max_bound
+    # the order variables' ladder, and a staircase row for each left sum, 0
+    # included, that some right sum takes past max_bound
     rsums = right[0] if right else []
     nr = len(rsums)
-    _charge(size, 2 * nr - bool(nr) + sum(
+    _charge(size, _ladder_size(nr, range(nr)) + sum(
         bisect_right(rsums, max_bound - sa) < nr for sa in [0] + left[0]))
-    return GtePlan(pairs, max_bound, size[0], left, right)
+    return GtePlan(max_bound, size[0], left, right)
 
 
 def _charge(size, clauses) -> None:
@@ -168,27 +168,47 @@ def _charge(size, clauses) -> None:
         raise EncodingTooLarge(f"encoding over {MAX_GTE_CLAUSES} clauses")
 
 
-def _links(nl, nr, cuts) -> int:
-    """A merge node's clauses besides its rows', for children of nl and nr
-    sums and the left sums' cuts: the nl + nr output links, one ladder link
-    per right output from the lowest rung up, and one chain clause per rung
-    but the first. Row i adds cuts[i] fit clauses and, if cuts[i] < nr, a
-    rung clause."""
-    steps = {j for j in cuts if j < nr}
-    return nl + 2 * nr - min(steps, default=nr) + max(len(steps) - 1, 0)
+def _steps(cuts, nr) -> list[int]:
+    """A merge node's rungs: the distinct cuts of its left sums that some
+    of its nr right sums reach, ascending."""
+    return sorted({j for j in cuts if j < nr})
+
+
+def _ladder_size(nr, steps) -> int:
+    """The clauses _ladder emits over nr right outputs with rungs at the
+    ascending indices steps."""
+    return nr - steps[0] + len(steps) - 1 if steps else 0
+
+
+def _ladder(rneg, steps, sink) -> list:
+    """A threshold ladder over a child's (sum, negated output) pairs rneg,
+    ascending, with a rung at each of the ascending indices steps: rung j
+    holds once the child's sum reaches rneg[j]'s. Each output from the
+    lowest rung up implies the highest rung at or below it, and each rung
+    the one below. Returns the rungs by index, None where there is none."""
+    rung = [None] * len(rneg)
+    for j in steps:
+        rung[j] = sink.new_var(decision=False)
+    if steps:
+        g = None
+        for j in range(steps[0], len(rneg)):
+            g = rung[j] or g
+            sink.add_clause([rneg[j][1], g])
+    for lo, hi in zip(steps, steps[1:]):
+        sink.add_clause([-rung[hi], rung[lo]])
+    return rung
 
 
 def _plan(pairs, max_bound, size, budget):
-    """The plan of the subtree on pairs: (its ascending sums <= max_bound,
-    the cut of each left sum, left plan, right plan). Adds each node's
+    """The plan of the subtree on pairs (see GtePlan). Adds each node's
     charge to size[0], and raises EncodingTooLarge before walking a node's
     pairs if that would pass the cap."""
     if len(pairs) == 1:
-        w = pairs[0][1]
+        lit, w = pairs[0]
         if w > max_bound:
             _charge(size, 1)  # the unit forbidding it
-            return [], None, None, None
-        return [w], None, None, None
+            return [], lit
+        return [w], lit
     half = len(pairs) // 2
     left = _plan(pairs[:half], max_bound, size, budget)
     right = _plan(pairs[half:], max_bound, size, budget)
@@ -196,9 +216,10 @@ def _plan(pairs, max_bound, size, budget):
     lsums, rsums = left[0], right[0]
     nr = len(rsums)
     # row sa pairs with the right sums before its cut, the first index
-    # whose sum takes sa past max_bound
+    # whose sum takes sa past max_bound, and forbids sa with the cut's rung
     cuts = [bisect_right(rsums, max_bound - sa) for sa in lsums]
-    _charge(size, _links(len(lsums), nr, cuts) + sum(j + (j < nr) for j in cuts))
+    _charge(size, len(lsums) + nr + _ladder_size(nr, _steps(cuts, nr))
+            + sum(j + (j < nr) for j in cuts))
     reach = set(lsums)
     reach.update(rsums)
     for sa, fit in zip(lsums, cuts):
@@ -219,8 +240,7 @@ class GeneralizedTotalizer:
     plan is plan_gte(items, max_bound)'s result when the caller sized the
     encoding already. An encoding charged over MAX_GTE_CLAUSES raises
     EncodingTooLarge and leaves the sink untouched; a budget that runs out
-    mid-build raises EncodingInterrupted. self.clauses counts the clauses
-    emitted so far.
+    mid-build raises EncodingInterrupted.
     """
 
     def __init__(self, items, max_bound: int, sink, *, budget=None, plan=None,
@@ -231,81 +251,49 @@ class GeneralizedTotalizer:
             raise ValueError(f"plan capped at {plan.max_bound}, not {max_bound}")
         self.max_bound = max_bound
         self.bound: int | None = None
-        self.clauses = 0
         # prepended to every clause that forbids a sum
         self._guard = [] if guard is None else [-guard]
-        pairs = plan.pairs
-        half = len(pairs) // 2 or 1
-        try:
-            lsums = self._emit(pairs[:half], plan.left, sink, budget)
-            rsums = (self._emit(pairs[half:], plan.right, sink, budget)
-                     if plan.right is not None else [])
-            _poll(budget)
-        except EncodingInterrupted as e:
-            e.clauses = self.clauses
-            raise
+        lneg = self._emit(plan.left, sink, budget)
+        rneg = self._emit(plan.right, sink, budget) if plan.right else []
+        _poll(budget)
         # the staircase's rows: every left sum, 0 (no literal) included
-        self._rows = [(0, None)] + [(s, -l) for s, l in lsums]
-        self._rsums = [s for s, _ in rsums]
+        self._rows = [(0, None)] + lneg
+        self._rsums = [s for s, _ in rneg]
         # u[j]: the right sum reaches rsums[j]
-        self._u = [sink.new_var(decision=False) for _ in rsums]
-        for (_, lit), u in zip(rsums, self._u):
-            sink.add_clause([-lit, u])
-        for lo, hi in zip(self._u, self._u[1:]):
-            sink.add_clause([-hi, lo])
-        self.clauses += 2 * len(rsums) - bool(rsums)
-        # no sum passes the total weight, so its staircase is empty
-        self._staircase(max_bound, sum(w for _, w in pairs), sink, self._guard)
+        self._u = _ladder(rneg, range(len(rneg)), sink)
+        # no row or right sum passes max_bound, so nothing is frozen below
+        # twice that yet
+        self._staircase(max_bound, 2 * max_bound, sink, self._guard)
 
-    def _emit(self, pairs, plan, sink, budget):
-        """Pass 2 over the subtree on pairs: create the planned outputs and
-        rungs and emit the clauses, children first. Returns the subtree's
-        (sum, literal) outputs."""
-        sums, cuts, left, right = plan
-        if left is None:
-            lit = pairs[0][0]
+    def _emit(self, plan, sink, budget):
+        """Pass 2 over plan's subtree: create the planned outputs and rungs
+        and emit the clauses, children first. Returns the subtree's outputs
+        as (sum, negated literal) pairs, so every clause that holds one
+        shares one int object."""
+        if len(plan) == 2:  # a leaf
+            sums, lit = plan
             if not sums:  # heavier than max_bound on its own
                 sink.add_clause(self._guard + [-lit])
-                self.clauses += 1
                 return []
-            return [(sums[0], lit)]
-        half = len(pairs) // 2
-        lsums = self._emit(pairs[:half], left, sink, budget)
-        rsums = self._emit(pairs[half:], right, sink, budget)
+            return [(sums[0], -lit)]
+        sums, cuts, left, right = plan
+        lneg = self._emit(left, sink, budget)
+        rneg = self._emit(right, sink, budget)
         _poll(budget)
-        # row sa pairs with the right sums before its cut; each distinct cut
-        # is a rung
+        nr = len(rneg)
         out = {s: sink.new_var(decision=False) for s in sums}
-        rung = {j: sink.new_var(decision=False)
-                for j in sorted(set(cuts)) if j < len(rsums)}
-        # each child output is negated once, so every clause that holds it
-        # shares one int object
-        lneg = [(s, -l) for s, l in lsums]
-        rneg = [(s, -l) for s, l in rsums]
         for s, nl in lneg:
             sink.add_clause([nl, out[s]])
         for s, nl in rneg:
             sink.add_clause([nl, out[s]])
-        # rung j holds once the right sum reaches rsums[j]: each right output
-        # implies the highest rung at or below it, and each rung the next
-        # one down
-        g = None
-        for j, (_, nb) in enumerate(rneg):
-            g = rung.get(j, g)
-            if g is not None:
-                sink.add_clause([nb, g])
-        steps = list(rung)
-        for lo, hi in zip(steps, steps[1:]):
-            sink.add_clause([-rung[hi], rung[lo]])
-        self.clauses += _links(len(lneg), len(rneg), cuts)
+        rung = _ladder(rneg, _steps(cuts, nr), sink)
         for (sa, na), fit in zip(lneg, cuts):
             _poll(budget)
             for sb, nb in rneg[:fit]:
                 sink.add_clause([na, nb, out[sa + sb]])
-            if fit < len(rneg):
+            if fit < nr:
                 sink.add_clause(self._guard + [na, -rung[fit]])
-            self.clauses += fit + (fit < len(rneg))
-        return [(s, out[s]) for s in sums]
+        return [(s, -out[s]) for s in sums]
 
     def _staircase(self, b, since, sink, guard) -> None:
         """Emit, each after the literals of guard, the clauses of "sum <= b"
@@ -324,7 +312,6 @@ class GeneralizedTotalizer:
                     continue  # the same clause, or none at all
                 clause = [-u[cut]] if na is None else [na, -u[cut]]
             sink.add_clause(guard + clause)
-            self.clauses += 1
 
     def _check(self, b: int) -> None:
         if b < 0:

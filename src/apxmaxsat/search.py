@@ -153,8 +153,9 @@ class SearchConfig:
 @dataclass
 class EncoderBuild:
     """One bound encoding built, or refused, for an objective: its input
-    count, and the clauses and variables it added to the solver (0 when
-    refused; so far, when the budget interrupted it)."""
+    count, and the clauses and variables it added to the solver, read from
+    the solver's own counts (0 when refused or interrupted while sized; so
+    far, when the budget interrupted the build)."""
 
     inputs: int
     clauses: int
@@ -280,17 +281,16 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
     def build(items, bound, plan, guard=None):
         """The planned GTE over items, built into the solver and logged in
         report.encoders; None when the budget interrupts the build."""
-        vars_before = solver.num_vars
+        vars_before, clauses_before = solver.num_vars, solver.clauses_added
         try:
-            enc = GeneralizedTotalizer(items, bound, solver, budget=budget,
-                                       plan=plan, guard=guard)
-        except EncodingInterrupted as e:
-            report.encoders.append(EncoderBuild(
-                len(items), e.clauses, solver.num_vars - vars_before))
+            return GeneralizedTotalizer(items, bound, solver, budget=budget,
+                                        plan=plan, guard=guard)
+        except EncodingInterrupted:
             return None
-        report.encoders.append(EncoderBuild(
-            len(items), enc.clauses, solver.num_vars - vars_before))
-        return enc
+        finally:
+            report.encoders.append(EncoderBuild(
+                len(items), solver.clauses_added - clauses_before,
+                solver.num_vars - vars_before))
 
     def sized(items, bound):
         """plan_gte(items, bound), or None when the budget interrupts it,

@@ -109,6 +109,29 @@ def test_stop_flag_already_set_is_unknown_on_entry():
     assert s.solve()[0] is Status.SAT
 
 
+def test_stop_flag_is_polled_every_1024_decisions():
+    # no clause, so no conflict: only the poll between decisions can stop it
+    polls = []
+
+    def stop():
+        polls.append(None)
+        return len(polls) > 1  # true after the entry check
+
+    s = SatSolver(2000)
+    st_, model = s.solve(budget=Budget(stop=stop))
+    assert st_ is Status.UNKNOWN and model is None
+    assert s.stats["conflicts"] == 0 and s.stats["decisions"] == 1024
+    assert len(polls) == 2
+
+
+def test_solve_rejects_zero_assumption():
+    s = SatSolver(2)
+    s.add_clause([1, 2])
+    with pytest.raises(ValueError, match="0 is not a literal"):
+        s.solve([1, 0])
+    assert s.solve([1])[0] is Status.SAT
+
+
 def test_tautology_and_duplicate_literals():
     st_, model = solve([[1, -1], [2, 2, 3]])
     assert st_ is Status.SAT

@@ -143,7 +143,7 @@ def test_search_diff_finds_no_difference_against_the_same_checkout(tmp_path):
     assert r.stdout.splitlines() == [
         "4 instances, 36 reports: 0 differ",
         "status=0 bounds=0 exact=0 clusters=0 fallbacks=0 cost=0 trace_costs=0"
-        " solver_stats=0"]
+        " solver_stats=0 encoders=0 warm=0"]
     assert r.stderr == ""
 
 
@@ -163,7 +163,8 @@ def test_search_diff_answers_ignores_the_search_path(tmp_path):
     r = run_script("search_diff.py", *argv)
     assert r.returncode == 1
     assert r.stdout.splitlines()[0] == "1 instances, 9 reports: 9 differ"
-    assert r.stdout.splitlines()[1].endswith(" trace_costs=0 solver_stats=9")
+    assert r.stdout.splitlines()[1].endswith(
+        " trace_costs=0 solver_stats=9 encoders=0 warm=0")
     r = run_script("search_diff.py", *argv, "--answers")
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == [

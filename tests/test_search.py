@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 
 from apxmaxsat import clustering, encodings, harness, search, wcnf
-from apxmaxsat.satcore import Status
+from apxmaxsat.encodings import CnfBuffer, EncodingInterrupted, EncodingTooLarge
+from apxmaxsat.satcore import Budget, Status
 from apxmaxsat.search import (APX_SUBPROB, APX_WEIGHT,
                               OPTIMUM_FOR_APPROXIMATION, SATISFIABLE,
                               UNKNOWN, UNSATISFIABLE, SearchConfig)
@@ -263,6 +264,21 @@ def test_nan_timeout_is_rejected(e1):
 def test_stop_flag_interrupts(e1):
     report = search.solve(e1, subprob_cfg(2, stop=lambda: True))
     assert report.status == UNKNOWN and report.best is None
+
+
+def test_budget_out_in_the_first_sat_call_ends_unknown(e1):
+    polls = []
+
+    def stop():
+        polls.append(None)
+        return len(polls) > 1  # true after the search's entry check
+
+    report = search.solve(e1, weight_cfg(0, stop=stop))
+    assert report.status == UNKNOWN and report.best is None
+    assert report.trace == [] and report.encoders == []
+    assert set(report.solver_stats) == {"conflicts", "decisions", "restarts",
+                                        "reductions", "propagations"}
+    assert len(polls) == 2
 
 
 def test_budget_mid_search_returns_best_so_far():
@@ -570,6 +586,85 @@ def test_floored_bound_does_not_cut_off_the_optimum(monkeypatch):
     report = search.solve(f, weight_cfg(0))
     assert report.exact and report.cost == 4 and report.warm is None
     assert planned == [11] and [e.inputs for e in report.encoders] == [11]
+
+
+def floored_to_four():
+    """The instance above: x1=1, x2=2, y1..y7=3..9, z=10, m=11, where
+    flooring by k=1 keeps the 4 inputs of x1, x2, z and m out of 11."""
+    ys = range(3, 10)
+    hard = ([wcnf.Clause.of([1, y]) for y in ys] + [wcnf.Clause.of([2, y]) for y in ys]
+            + [wcnf.Clause.of([10, 1])])
+    soft = ([(wcnf.Clause.of([-1]), 2), (wcnf.Clause.of([-2]), 2)]
+            + [(wcnf.Clause.of([-y]), 1) for y in ys]
+            + [(wcnf.Clause.of([-10]), 2), (wcnf.Clause.of([-11]), 8)])
+    return wcnf.WcnfFormula(11, hard, soft)
+
+
+def test_floored_encoding_over_the_cap_skips_the_stage(monkeypatch):
+    monkeypatch.setattr(search, "WARM_CHARGE", 0)
+    f = floored_to_four()
+
+    def plan_gte(items, max_bound, budget=None):
+        if len(items) == 4:  # the floored objective
+            raise EncodingTooLarge("refused")
+        return encodings.plan_gte(items, max_bound, budget)
+
+    monkeypatch.setattr(search, "plan_gte", plan_gte)
+    report = search.solve(f, weight_cfg(0))
+    assert report.warm is None and [e.inputs for e in report.encoders] == [11]
+    assert report.status == OPTIMUM_FOR_APPROXIMATION and report.exact
+    assert report.cost == harness.brute_force_optimum(f)[0]
+
+
+def stop_at(n):
+    """A stop flag that turns true at its n-th poll."""
+    polls = []
+    return lambda: polls.append(None) or len(polls) >= n
+
+
+@pytest.mark.parametrize("phase", ["sizing", "building"])
+def test_budget_out_in_the_floored_stage_keeps_a_valid_model(monkeypatch, phase):
+    # the budget runs out at the floored encoding's first poll while it is
+    # sized, or at its last, the root's, while it is built
+    monkeypatch.setattr(search, "WARM_CHARGE", 0)
+    f = floored_to_four()
+    armed = []  # the stop flag the search polls, once the phase starts
+    expected = []
+
+    def plan_gte(items, max_bound, budget=None):
+        if phase == "sizing" and len(items) == 4:
+            armed.append(stop_at(1))
+        return encodings.plan_gte(items, max_bound, budget)
+
+    real = search.GeneralizedTotalizer
+
+    def gte(items, max_bound, sink, *, plan, guard=None, **kw):
+        if phase == "building" and guard is not None:
+            # the same build into a buffer: count its polls, then stop a
+            # second one at the last of them for the clauses it leaves
+            polls = []
+            real(items, max_bound, CnfBuffer(sink.num_vars), plan=plan, guard=guard,
+                 budget=Budget(stop=lambda: polls.append(None)))
+            buf = CnfBuffer(sink.num_vars)
+            with pytest.raises(EncodingInterrupted):
+                real(items, max_bound, buf, plan=plan, guard=guard,
+                     budget=Budget(stop=stop_at(len(polls))))
+            expected.append(search.EncoderBuild(
+                len(items), len(buf.clauses), buf.num_vars - sink.num_vars))
+            armed.append(stop_at(len(polls)))
+        return real(items, max_bound, sink, plan=plan, guard=guard, **kw)
+
+    monkeypatch.setattr(search, "plan_gte", plan_gte)
+    monkeypatch.setattr(search, "GeneralizedTotalizer", gte)
+    report = search.solve(f, weight_cfg(0, stop=lambda: bool(armed) and armed[0]()))
+    assert report.status == SATISFIABLE and not report.exact
+    assert wcnf.check_model(f, report.best.assignment) == ("valid", report.cost)
+    if phase == "sizing":
+        assert report.warm is None
+        assert report.encoders == [search.EncoderBuild(4, 0, 0)]
+    else:
+        assert report.warm == (1, 1, 1)
+        assert report.encoders == expected and expected[0].clauses > 0
 
 
 def test_forced_floored_stage_matches_oracle(monkeypatch):

@@ -37,6 +37,8 @@ def test_parse_weight_above_top_rejected():
     ("px wcnf 1 1 5\n5 1 0\n", "before"),
     ("pwcnf wcnf 1 1 5\n5 1 0\n", "before"),
     ("p wcnf a 1 5\n5 1 0\n", "non-integer"),
+    ("p wcnf -1 1 5\n5 1 0\n", "out of range"),
+    ("p wcnf 1 1 0\n5 1 0\n", "out of range"),
     ("p wcnf 1 1 5\n0 1 0\n", "positive"),
     ("p wcnf 1 1 5\n-2 1 0\n", "positive"),
     ("p wcnf 2 1 5\n5 1 0 2 0\n", "literal 0 mid-clause"),
