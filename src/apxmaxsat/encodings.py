@@ -152,11 +152,13 @@ def plan_gte(items, max_bound: int, budget=None) -> GtePlan:
     right = _plan(pairs[half:], max_bound, size, budget) if pairs[half:] else None
     _poll(budget)
     # the order variables' ladder, and a staircase row for each left sum, 0
-    # included, that some right sum takes past max_bound
+    # included, that some right sum takes past max_bound: the ascending rows
+    # above max_bound - rsums[-1]
     rsums = right[0] if right else []
     nr = len(rsums)
-    _charge(size, _ladder_size(nr, range(nr)) + sum(
-        bisect_right(rsums, max_bound - sa) < nr for sa in [0] + left[0]))
+    rows = [0] + left[0]
+    _charge(size, _ladder_size(nr, range(nr)) + (
+        len(rows) - bisect_right(rows, max_bound - rsums[-1]) if rsums else 0))
     return GtePlan(max_bound, size[0], left, right)
 
 
@@ -217,7 +219,12 @@ def _plan(pairs, max_bound, size, budget):
     nr = len(rsums)
     # row sa pairs with the right sums before its cut, the first index
     # whose sum takes sa past max_bound, and forbids sa with the cut's rung
-    cuts = [bisect_right(rsums, max_bound - sa) for sa in lsums]
+    cuts = [0] * len(lsums)
+    for i, sa in enumerate(lsums):
+        fit = bisect_right(rsums, max_bound - sa)
+        if not fit:
+            break  # lsums ascend, so every later cut is 0 too
+        cuts[i] = fit
     _charge(size, len(lsums) + nr + _ladder_size(nr, _steps(cuts, nr))
             + sum(j + (j < nr) for j in cuts))
     reach = set(lsums)

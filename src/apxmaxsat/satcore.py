@@ -17,6 +17,18 @@ only marks headers; once deleted clauses hold more than half the arena it
 is compacted, keeping the order of the live clauses and of every watch
 list, so the search is the same as if nothing had moved.
 
+Propagation walks the watch list of each literal made false in place, as
+MiniSat does: a clause that stays watched there is written back at the
+list's write position and the list is cut after the walk, while a
+conflict copies the watchers not yet visited down behind it, so no list
+is allocated per literal and every list keeps its order. It branches on
+the clause's size because CPython's cost is per operation, and a range
+object or a loop costs more than the few literal tests it serves: a
+binary clause goes straight to satisfied, unit or conflict, a ternary one
+tests its one spare literal, and only clauses of four or more literals
+scan for a new watch. Most clauses the encoders and the relaxation make
+have two or three literals.
+
 A solve call may take assumptions (MiniSat style): literals that hold for
 that call only. Assumption i is decided at level i+1 before any branching;
 when one is already false at its turn the call returns UNSAT and the
@@ -128,7 +140,13 @@ class SatSolver:
     cla_decay_inv = 1.0 / 0.999
 
     def __init__(self, num_vars: int = 0, seed: int = 0):
-        self.num_vars = 0
+        # variables 1..n are made in one pass, in the state n new_var()
+        # calls leave them in: decision variables, every one hot
+        n = num_vars
+        cap = 16 if n else 0  # as new_var grows it: 16 doubled until n fits
+        while cap < n:
+            cap *= 2
+        self.num_vars = n
         self.ok = True
         # clause arena: [size, lit, lit, ...] per clause, size negated once
         # deleted; a clause is the offset of its header
@@ -139,24 +157,27 @@ class SatSolver:
         # literal-indexed state, -l reached by negative indexing: slots
         # 1.._cap hold the positive literals, the last _cap slots the
         # negative ones
-        self._cap = 0
-        self.value = [0]        # 1 true, -1 false, 0 unassigned
-        self.watches: list[list[int] | None] = [None]
+        self._cap = cap
+        self.value = [0] * (2 * cap + 1)  # 1 true, -1 false, 0 unassigned
+        self.watches: list[list[int] | None] = (
+            [None] + [[] for _ in range(n)] + [None] * (2 * (cap - n))
+            + [[] for _ in range(n)])
         # per-variable state, index 0 unused
-        self.level = [0]
-        self.reason: list[int | None] = [None]
-        self.phase = [False]    # saved polarity; default false
-        self.activity = [0.0]
-        self.decision = [False]  # branched on; see new_var
-        self._decisions: list[int] = []  # the decision variables, ascending
+        self.level = [0] * (n + 1)
+        self.reason: list[int | None] = [None] * (n + 1)
+        self.phase = [False] * (n + 1)    # saved polarity; default false
+        self.activity = [0.0] * (n + 1)
+        self.decision = [False] + [True] * n  # branched on; see new_var
+        self._decisions = list(range(1, n + 1))  # the decision variables, ascending
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         # branching: see the module docstring
         self._order: list[int] = []  # decision variables by (-activity, v)
-        self._pos = [_UNORDERED]     # place in _order; -1 while hot
+        self._pos = [_UNORDERED] + [-1] * n  # place in _order; -1 while hot
         self._ptr = 0                # no unassigned, not hot variable before it
-        self._heap: list[tuple[float, int]] = []  # the hot variables
+        # the hot variables; ascending entries already form a heap
+        self._heap = [(-0.0, v) for v in self._decisions]
         self.var_inc = 1.0
         self.cla_inc = 1.0
         self.rng = random.Random(seed)
@@ -164,8 +185,6 @@ class SatSolver:
         self.clauses_added = 0
         self.stats = {"conflicts": 0, "decisions": 0, "restarts": 0,
                       "reductions": 0, "propagations": 0}
-        for _ in range(num_vars):
-            self.new_var()
 
     # ------------------------------------------------------------------
     # variables and clauses
@@ -322,61 +341,64 @@ class SatSolver:
             ws = watches[false_lit]
             if not ws:
                 continue
-            keep: list[int] = []
-            for idx in range(len(ws)):
-                c = ws[idx]
+            j = 0  # ws[:j] holds the clauses kept so far
+            it = iter(ws)
+            for c in it:
                 size = arena[c]
                 if size < 0:
                     continue  # deleted
                 c1 = c + 1
+                c2 = c + 2
                 first = arena[c1]
                 if first == false_lit:
-                    first = arena[c + 2]
+                    first = arena[c2]
                     arena[c1] = first
-                    arena[c + 2] = false_lit
+                    arena[c2] = false_lit
                 v0 = value[first]
                 if v0 == 1:
-                    keep.append(c)
+                    ws[j] = c
+                    j += 1
                     continue
-                for k in range(c + 3, c1 + size):
-                    lk = arena[k]
+                if size == 3:  # one spare literal: no range to build
+                    lk = arena[c + 3]
                     if value[lk] != -1:
-                        arena[c + 2] = lk
+                        arena[c2] = lk
+                        arena[c + 3] = false_lit
+                        watches[lk].append(c)
+                        continue
+                elif size != 2:
+                    for k in range(c + 3, c1 + size):
+                        lk = arena[k]
+                        if value[lk] != -1:
+                            break
+                    if value[lk] != -1:  # the scan broke off at lk
+                        arena[c2] = lk
                         arena[k] = false_lit
                         watches[lk].append(c)
-                        break
-                else:
-                    keep.append(c)
-                    if v0 == -1:
-                        keep.extend(ws[idx + 1:])
-                        conflict = c
-                        break
-                    value[first] = 1  # _enqueue(first, c), inlined
-                    value[-first] = -1
-                    v = first if first > 0 else -first
-                    level[v] = lvl
-                    reason[v] = c
-                    trail.append(first)
-            watches[false_lit] = keep
-            if conflict is not None:
-                break
+                        continue
+                # every other literal is false: unit or conflict
+                ws[j] = c
+                j += 1
+                if v0 == -1:
+                    ws[j:] = list(it)  # keep the watchers not visited
+                    conflict = c
+                    break
+                value[first] = 1  # _enqueue(first, c), inlined
+                value[-first] = -1
+                v = first if first > 0 else -first
+                level[v] = lvl
+                reason[v] = c
+                trail.append(first)
+            else:  # walked to the end: drop the moved and deleted watchers
+                del ws[j:]
+                continue
+            break  # a conflict
         self.stats["propagations"] += qhead - start
         self.qhead = len(trail) if conflict is not None else qhead
         return conflict
 
     # ------------------------------------------------------------------
     # conflict analysis (first UIP)
-
-    def _bump_var(self, v: int) -> None:
-        if not self.decision[v]:
-            return  # never branched on, so its activity is never read
-        act = self.activity[v] + self.var_inc
-        self.activity[v] = act
-        if act > _RESCALE_LIMIT:
-            self._rescale_var_activity()
-        else:
-            self._pos[v] = -1  # hot until the next rebuild
-            heappush(self._heap, (-act, v))
 
     def _rescale_var_activity(self) -> None:
         act = self.activity
@@ -417,20 +439,36 @@ class SatSolver:
         level = self.level
         reason = self.reason
         trail = self.trail
+        learnts = self.learnts
+        decision = self.decision
+        activity = self.activity
+        pos = self._pos
+        heap = self._heap
+        var_inc = self.var_inc
         cur = len(self.trail_lim)
         counter = 0
         idx = len(trail) - 1
         p = 0
         c = confl
         while True:
-            if c in self.learnts:
+            if c in learnts:
                 self._bump_cla(c)
             for k in range(c + 1 if p == 0 else c + 2, c + 1 + arena[c]):
                 q = arena[k]
                 v = abs(q)
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
-                    self._bump_var(v)
+                    # bump v; a non-decision variable's activity is never read
+                    if decision[v]:
+                        act = activity[v] + var_inc
+                        activity[v] = act
+                        if act > _RESCALE_LIMIT:
+                            self._rescale_var_activity()  # new heap and var_inc
+                            heap = self._heap
+                            var_inc = self.var_inc
+                        else:
+                            pos[v] = -1  # hot until the next rebuild
+                            heappush(heap, (-act, v))
                     if level[v] >= cur:
                         counter += 1
                     else:

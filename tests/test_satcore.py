@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,26 @@ def test_variable_range_auto_extends():
     assert s.num_vars == 5
     st_, model = s.solve()
     assert st_ is Status.SAT and model[5]
+
+
+@pytest.mark.parametrize("n", [0, 1, 16, 17, 40])
+def test_bulk_built_solver_matches_one_built_by_new_var(n):
+    bulk = SatSolver(n, seed=3)
+    grown = SatSolver(0, seed=3)
+    for _ in range(n):
+        grown.new_var()
+    for _ in range(2):  # and both grow alike past that
+        a, b = dict(vars(bulk)), dict(vars(grown))
+        assert a.pop("rng").getstate() == b.pop("rng").getstate()
+        assert a == b
+        bulk.new_var()
+        grown.new_var()
+
+
+def test_solver_keeps_at_most_29_instance_attributes():
+    # a 30th instance attribute made in-process GTE builds about 8% slower
+    # (CPython 3.11); new state replaces an attribute or lives on the class
+    assert len(vars(SatSolver(3))) <= 29
 
 
 def test_unsat_two_var_system():
@@ -486,6 +507,90 @@ def test_arena_stays_within_twice_its_live_cells():
         for c in live:  # every live clause is watched by its first two literals
             assert c in s.watches[s.arena[c + 1]] and c in s.watches[s.arena[c + 2]]
     assert s.stats["reductions"] >= 10 and compactions >= 2
+
+
+def assert_watches_exact(s):
+    """Every live clause is in the watch list of each of its first two
+    literals once, and in no other list; deleted clauses may linger until
+    a walk or a compaction drops them."""
+    want = Counter()
+    for c in live_clauses(s):
+        want[s.arena[c + 1], c] += 1
+        want[s.arena[c + 2], c] += 1
+    got = Counter((lit, c) for v in range(1, s.num_vars + 1) for lit in (v, -v)
+                  for c in s.watches[lit] if s.arena[c] > 0)
+    assert got == want
+    assert all(ws is None for ws in s.watches[s.num_vars + 1:len(s.watches) - s.num_vars])
+
+
+def test_watch_lists_hold_each_live_clause_once_per_watched_literal():
+    s = forced_reduction_solver()
+    mid_list = 0  # conflicts found before the end of a watch list
+    analyze = s._analyze
+
+    def counted(confl):
+        nonlocal mid_list
+        ws = s.watches[s.arena[confl + 2]]  # the list the conflict was found in
+        mid_list += ws.index(confl) < len(ws) - 1
+        return analyze(confl)
+
+    s._analyze = counted
+    for assumptions in ([], [1, -2, 3], [-4, 5]):
+        s.solve(assumptions)
+        assert_watches_exact(s)
+    assert mid_list >= 100 and s.stats["reductions"] >= 10
+
+
+def level_one(clauses, *lits):
+    """A solver holding clauses with lits set at level 1, not yet
+    propagated."""
+    s = SatSolver(8)
+    for c in clauses:
+        s.add_clause(c)
+    s.trail_lim.append(0)
+    for l in lits:
+        s._enqueue(l, None)
+    return s
+
+
+def test_binary_clause_becomes_unit():
+    s = level_one([[1, 2]], -1)
+    assert s._propagate() is None
+    assert s.arena == [2, 2, 1] and s.value[2] == 1 and s.reason[2] == 0
+    assert s.watches[1] == [0] and s.watches[2] == [0]
+
+
+def test_ternary_clause_moves_its_watch():
+    s = level_one([[1, 2, 3]], -1)
+    assert s._propagate() is None
+    assert s.arena == [3, 2, 3, 1] and s.value[2] == s.value[3] == 0
+    assert s.watches[1] == [] and s.watches[2] == [0] and s.watches[3] == [0]
+
+
+def test_ternary_clause_becomes_unit():
+    s = level_one([[1, 2, 3]], -3, -1)
+    assert s._propagate() is None
+    assert s.arena == [3, 2, 1, 3] and s.value[2] == 1 and s.reason[2] == 0
+    assert s.watches[1] == [0] and s.watches[2] == [0] and s.watches[3] == []
+
+
+def test_long_clause_moves_its_watch_past_false_literals():
+    s = level_one([[1, 2, 3, 4, 5]], -3, -4, -1)
+    assert s._propagate() is None
+    assert s.arena == [5, 2, 5, 3, 4, 1] and s.value[2] == s.value[5] == 0
+    assert s.watches[1] == [] and s.watches[5] == [0]
+
+
+def test_conflict_keeps_the_watchers_after_it():
+    # watches[1]: a satisfied clause, one that moves its watch, the
+    # conflict, then two clauses the walk never reaches
+    s = level_one([[1, 5], [1, 7, 8], [1, 2], [1, 3, 4], [1, 6]], 5, -1, -2)
+    assert s.watches[1] == [0, 3, 7, 10, 14]
+    assert s._propagate() == 7
+    assert s.watches[1] == [0, 7, 10, 14] and s.watches[8] == [3]
+    assert s.arena == [2, 5, 1, 3, 7, 8, 1, 2, 2, 1, 3, 1, 3, 4, 2, 1, 6]
+    assert s.qhead == len(s.trail) and s.value[3] == s.value[6] == 0
+    assert_watches_exact(s)
 
 
 def test_propagations_counted_per_solve():
