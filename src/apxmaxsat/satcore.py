@@ -64,6 +64,12 @@ and the heap emptied, on every activity rescale and whenever the heap
 grows past a quarter of the order (plus a small constant), so the heap's
 work stays a fraction of the descent's.
 
+solve's decision loop keeps the trail, the level list, the value and
+phase lists, the stats, the assumption count and the bound _propagate and
+_pick_branch in locals, and enqueues each decision inline: a descent's SAT
+call re-walks about 1500 decisions with 0-1 conflicts on large instances,
+so the per-decision attribute loads and calls add up.
+
 A solve call may take a Budget, which it charges with its conflicts and
 polls on entry, after every conflict and every 1024 decisions; exhaustion
 yields UNKNOWN. A fixed seed makes runs reproducible; the seed only feeds
@@ -616,16 +622,27 @@ class SatSolver:
             return Status.UNSAT, None
         if self._max_learnts is None:
             self._max_learnts = max(4000.0, 2.0 * self._problem_clauses)
+        # the loop's state in locals: none of these lists is replaced while
+        # it runs (_compact replaces arena, watches and reason only)
+        trail = self.trail
+        trail_lim = self.trail_lim
+        value = self.value
+        level = self.level
+        phase = self.phase
+        stats = self.stats
+        propagate = self._propagate
+        pick_branch = self._pick_branch
+        n_assumed = len(assumptions)
         since_restart = 0
         restart_lim = 100.0
         while True:
-            confl = self._propagate()
+            confl = propagate()
             if confl is not None:
-                self.stats["conflicts"] += 1
+                stats["conflicts"] += 1
                 if budget.conflicts_left is not None:
                     budget.conflicts_left -= 1
                 since_restart += 1
-                if not self.trail_lim:
+                if not trail_lim:
                     self.ok = False
                     return Status.UNSAT, None
                 learnt, bt = self._analyze(confl)
@@ -636,32 +653,39 @@ class SatSolver:
                 if budget.exhausted():
                     return Status.UNKNOWN, None
                 if since_restart >= restart_lim:
-                    self.stats["restarts"] += 1
+                    stats["restarts"] += 1
                     since_restart = 0
                     restart_lim *= 1.5
                     self._backtrack(0)
-                if len(self.learnts) >= self._max_learnts + len(self.trail):
+                if len(self.learnts) >= self._max_learnts + len(trail):
                     self._reduce_db()
+                continue
+            lit = 0
+            while len(trail_lim) < n_assumed:
+                p = assumptions[len(trail_lim)]
+                pv = value[p]
+                if pv == -1:
+                    return Status.UNSAT, None
+                if pv == 0:
+                    lit = p
+                    break
+                trail_lim.append(len(trail))  # already true
+            if lit == 0:
+                v = pick_branch()
+                if v is None:
+                    model = {u: value[u] == 1 for u in range(1, self.num_vars + 1)}
+                    return Status.SAT, model
+                decisions = stats["decisions"] + 1
+                stats["decisions"] = decisions
+                if decisions & 1023 == 0 and budget.exhausted():
+                    return Status.UNKNOWN, None
+                lit = v if phase[v] else -v
             else:
-                lit = 0
-                while len(self.trail_lim) < len(assumptions):
-                    p = assumptions[len(self.trail_lim)]
-                    pv = self.value[p]
-                    if pv == -1:
-                        return Status.UNSAT, None
-                    if pv == 0:
-                        lit = p
-                        break
-                    self.trail_lim.append(len(self.trail))  # already true
-                if lit == 0:
-                    v = self._pick_branch()
-                    if v is None:
-                        model = {u: self.value[u] == 1
-                                 for u in range(1, self.num_vars + 1)}
-                        return Status.SAT, model
-                    self.stats["decisions"] += 1
-                    if self.stats["decisions"] & 1023 == 0 and budget.exhausted():
-                        return Status.UNKNOWN, None
-                    lit = v if self.phase[v] else -v
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(lit, None)
+                v = lit if lit > 0 else -lit
+            # a new level and _enqueue(lit, None), inlined; reason[v] is
+            # already None, as it is for every unassigned variable
+            level[v] = len(trail_lim) + 1
+            trail_lim.append(len(trail))
+            value[lit] = 1
+            value[-lit] = -1
+            trail.append(lit)

@@ -10,6 +10,11 @@ Input format is old-style WDIMACS only: a `p wcnf <vars> <clauses> <top>`
 header, one clause per line as `<weight> <lit>... 0`, where weight == top
 marks a hard clause. The 2022 `h`-prefixed format is rejected.
 
+Clauses are frozen, slotted dataclasses: no per-clause __dict__, so a large
+formula is smaller and every full garbage collection walks it faster. The
+parser converts each token of a clause line to int once and makes each
+clause without the frozen __init__.
+
 Formulas are immutable after construction and safe to share across threads.
 """
 
@@ -27,7 +32,7 @@ class WcnfParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """Disjunction of literals, deduplicated preserving first occurrence.
 
@@ -49,6 +54,9 @@ class Clause:
 
     def satisfied_by(self, assignment) -> bool:
         return any(assignment[abs(l)] == (l > 0) for l in self.lits)
+
+
+_SET_LITS = Clause.lits.__set__  # stores a clause's slot past the frozen __setattr__
 
 
 def _max_var(clauses) -> int:
@@ -115,6 +123,11 @@ def parse_wcnf(text) -> WcnfFormula:
     body, a missing terminating 0, or any non-integer token. A clause count
     differing from the header is recorded as a warning, and variables beyond
     the header count grow num_vars.
+
+    Each line is converted with one int() per token, and each Clause is a
+    bare object whose slot is stored through the slot's descriptor. A line
+    whose conversion fails is then looked at for a header, an 'h' marker
+    or a clause before the header.
     """
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -122,61 +135,80 @@ def parse_wcnf(text) -> WcnfFormula:
         except UnicodeDecodeError as e:
             raise WcnfParseError(text.count(b"\n", 0, e.start) + 1,
                                  f"byte 0x{text[e.start]:02x} is not UTF-8") from None
-    top: int | None = None  # None until the 'p wcnf' header
+    top = 0  # 0 until the 'p wcnf' header, whose top is at least 1
     hard: list[Clause] = []
     soft: list[tuple[Clause, int]] = []
+    add_hard = hard.append
+    add_soft = soft.append
+    new = object.__new__
+    set_lits = _SET_LITS
     line_no = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
         toks = line.split()
         if not toks or toks[0][0] == "c":
             continue
-        if toks[0] == "h":
-            raise WcnfParseError(
-                line_no,
-                "'h' marker is the 2022 WCNF format, which is not supported; "
-                "use old-style WDIMACS with a 'p wcnf' header",
-            )
-        if toks[0] == "p":
-            if top is not None:
-                raise WcnfParseError(line_no, "duplicate 'p' header")
-            if len(toks) != 5 or toks[1] != "wcnf":
-                raise WcnfParseError(
-                    line_no, "malformed header; expected 'p wcnf <vars> <clauses> <top>'"
-                )
-            try:
-                nvars, nclauses, top = map(int, toks[2:])
-            except ValueError:
-                raise WcnfParseError(line_no, "non-integer header field") from None
-            if nvars < 0 or nclauses < 0 or top < 1:
-                raise WcnfParseError(line_no, "header fields out of range")
-            continue
-        if top is None:
-            raise WcnfParseError(line_no, "clause before 'p wcnf' header")
         try:
             w, *body = map(int, toks)
         except ValueError:
+            if toks[0] == "h":
+                raise WcnfParseError(
+                    line_no,
+                    "'h' marker is the 2022 WCNF format, which is not supported; "
+                    "use old-style WDIMACS with a 'p wcnf' header",
+                ) from None
+            if toks[0] == "p":
+                nvars, nclauses, top = _header(line_no, toks, top)
+                continue
+            if not top:
+                raise WcnfParseError(line_no, "clause before 'p wcnf' header") from None
             raise WcnfParseError(line_no, "non-integer token in clause") from None
-        if w <= 0:
-            raise WcnfParseError(line_no, f"weight {w} must be positive")
-        if w > top:
+        if not 0 < w <= top:
+            if not top:
+                raise WcnfParseError(line_no, "clause before 'p wcnf' header")
+            if w <= 0:
+                raise WcnfParseError(line_no, f"weight {w} must be positive")
             raise WcnfParseError(line_no, f"weight {w} exceeds top {top}")
-        if not body or body.pop() != 0:
+        if not body or body.pop():
             raise WcnfParseError(line_no, "clause missing terminating 0")
-        try:
-            clause = Clause.of(body)
-        except ValueError as e:
-            raise WcnfParseError(line_no, str(e)) from None
+        if len({*body}) < len(body):
+            body = dict.fromkeys(body)  # keeps each literal's first occurrence
+        lits = (*body,)
+        if 0 in lits:
+            raise WcnfParseError(line_no, "literal 0 mid-clause")
+        if not lits:
+            raise WcnfParseError(line_no, "empty clause")
+        clause = new(Clause)
+        set_lits(clause, lits)
         if w == top:
-            hard.append(clause)
+            add_hard(clause)
         else:
-            soft.append((clause, w))
-    if top is None:
+            add_soft((clause, w))
+    if not top:
         raise WcnfParseError(max(line_no, 1), "missing 'p wcnf' header")
     warnings = []
     found = len(hard) + len(soft)
     if found != nclauses:
         warnings.append(f"header declares {nclauses} clauses, found {found}")
     return WcnfFormula(nvars, hard, soft, warnings, grow_vars=True)
+
+
+def _header(line_no: int, toks: list[str], top: int) -> tuple[int, int, int]:
+    """(vars, clauses, top) of a 'p' line; top is the current one, 0 before
+    any header. It runs while the line's failed int() is being handled, so
+    every error it raises drops that context."""
+    if top:
+        raise WcnfParseError(line_no, "duplicate 'p' header") from None
+    if len(toks) != 5 or toks[1] != "wcnf":
+        raise WcnfParseError(
+            line_no, "malformed header; expected 'p wcnf <vars> <clauses> <top>'"
+        ) from None
+    try:
+        nvars, nclauses, top = map(int, toks[2:])
+    except ValueError:
+        raise WcnfParseError(line_no, "non-integer header field") from None
+    if nvars < 0 or nclauses < 0 or top < 1:
+        raise WcnfParseError(line_no, "header fields out of range") from None
+    return nvars, nclauses, top
 
 
 def serialize_wcnf(f: WcnfFormula) -> str:

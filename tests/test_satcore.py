@@ -479,6 +479,31 @@ def test_search_path_is_pinned():
     ]
 
 
+def test_every_decision_is_enqueued_without_a_reason():
+    # solve enqueues a decision inline and leaves reason[v] as it is, which
+    # holds only while every unassigned variable's reason is None
+    s = forced_reduction_solver()
+    pick = s._pick_branch
+    picks = 0
+
+    def checked_pick():
+        nonlocal picks
+        picks += 1
+        assert all(s.reason[v] is None for v in range(1, s.num_vars + 1)
+                   if s.value[v] == 0)
+        return pick()
+
+    s._pick_branch = checked_pick
+    for assumptions in ([], [1, -2, 3], [-4, 5]):
+        st_, _ = s.solve(assumptions)
+        if st_ is Status.SAT:
+            assert s.trail_lim and all(
+                s.reason[abs(s.trail[lim])] is None and
+                s.level[abs(s.trail[lim])] == level
+                for level, lim in enumerate(s.trail_lim, start=1))
+    assert picks > 3000 and s.stats["reductions"] >= 10
+
+
 def live_clauses(s):
     c, live = 0, []
     while c < len(s.arena):

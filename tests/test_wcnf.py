@@ -1,3 +1,7 @@
+import dataclasses
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -151,6 +155,165 @@ def test_parse_accepted_inputs_exactly(text, expected):
 
 
 # ----------------------------------------------------------------------
+# differential parse: the one-conversion parser against the reference below
+
+def reference_parse_wcnf(text) -> WcnfFormula:
+    """parse_wcnf as it was written before each token was converted once:
+    every line is checked head first, then converted with map(int, ...),
+    and its body goes through Clause.of, which converts it again."""
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as e:
+            raise WcnfParseError(text.count(b"\n", 0, e.start) + 1,
+                                 f"byte 0x{text[e.start]:02x} is not UTF-8") from None
+    top = None
+    hard, soft = [], []
+    line_no = 0
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        toks = line.split()
+        if not toks or toks[0][0] == "c":
+            continue
+        if toks[0] == "h":
+            raise WcnfParseError(
+                line_no,
+                "'h' marker is the 2022 WCNF format, which is not supported; "
+                "use old-style WDIMACS with a 'p wcnf' header",
+            )
+        if toks[0] == "p":
+            if top is not None:
+                raise WcnfParseError(line_no, "duplicate 'p' header")
+            if len(toks) != 5 or toks[1] != "wcnf":
+                raise WcnfParseError(
+                    line_no, "malformed header; expected 'p wcnf <vars> <clauses> <top>'"
+                )
+            try:
+                nvars, nclauses, top = map(int, toks[2:])
+            except ValueError:
+                raise WcnfParseError(line_no, "non-integer header field") from None
+            if nvars < 0 or nclauses < 0 or top < 1:
+                raise WcnfParseError(line_no, "header fields out of range")
+            continue
+        if top is None:
+            raise WcnfParseError(line_no, "clause before 'p wcnf' header")
+        try:
+            w, *body = map(int, toks)
+        except ValueError:
+            raise WcnfParseError(line_no, "non-integer token in clause") from None
+        if w <= 0:
+            raise WcnfParseError(line_no, f"weight {w} must be positive")
+        if w > top:
+            raise WcnfParseError(line_no, f"weight {w} exceeds top {top}")
+        if not body or body.pop() != 0:
+            raise WcnfParseError(line_no, "clause missing terminating 0")
+        try:
+            clause = Clause.of(body)
+        except ValueError as e:
+            raise WcnfParseError(line_no, str(e)) from None
+        if w == top:
+            hard.append(clause)
+        else:
+            soft.append((clause, w))
+    if top is None:
+        raise WcnfParseError(max(line_no, 1), "missing 'p wcnf' header")
+    warnings = []
+    found = len(hard) + len(soft)
+    if found != nclauses:
+        warnings.append(f"header declares {nclauses} clauses, found {found}")
+    return WcnfFormula(nvars, hard, soft, warnings, grow_vars=True)
+
+
+def _corrupt(rng, lines, top):
+    """Apply one single-token corruption to a list of token lists."""
+    clauses = [i for i, toks in enumerate(lines) if toks and toks[0] not in ("c", "p")]
+    header = next(i for i, toks in enumerate(lines) if toks and toks[0] == "p")
+    kind = rng.choice(["stray 0", "missing 0", "x", "weight 0", "above top", "h",
+                       "second p", "before header", "bad header", "no header"])
+    if kind == "h":
+        lines.insert(rng.randrange(len(lines) + 1), ["h", "1", "-2", "0"])
+    elif kind == "second p":
+        lines.insert(rng.randrange(header + 1, len(lines) + 1), list(lines[header]))
+    elif kind == "before header":
+        lines.insert(rng.randrange(header + 1), [str(top), "1", "0"])
+    elif kind == "no header":
+        del lines[header]
+    elif kind == "bad header":
+        toks = lines[header]
+        i = rng.randrange(1, len(toks))
+        toks[i] = rng.choice(["x", "-1", "0", "cnf"])
+        if rng.random() < 0.3:
+            del toks[-1]
+    elif clauses:
+        toks = lines[rng.choice(clauses)]
+        if kind == "stray 0":
+            toks.insert(rng.randrange(1, len(toks)), "0")
+        elif kind == "missing 0":
+            del toks[-1]
+        elif kind == "x":
+            toks[rng.randrange(len(toks))] = "x"
+        elif kind == "weight 0":
+            toks[0] = rng.choice(["0", "-0", "-3"])
+        else:
+            toks[0] = str(top + rng.randint(1, 3))
+
+
+def random_wdimacs(rng):
+    """A seeded WDIMACS text (str or bytes) with comments, blank lines, tabs,
+    CRLF, duplicate literals and tautologies; about half carry one
+    single-token corruption."""
+    nvars = rng.randint(0, 6)
+    top = rng.randint(1, 12)
+    body = []
+    for _ in range(rng.randint(0, 7)):
+        w = top if rng.random() < 0.4 else rng.randint(1, top)
+        lits = [rng.choice((1, -1)) * rng.randint(1, nvars + 2)
+                for _ in range(rng.randint(0 if rng.random() < 0.05 else 1, 4))]
+        if lits and rng.random() < 0.2:
+            lits.insert(rng.randrange(len(lits) + 1), rng.choice(lits))
+        if lits and rng.random() < 0.15:
+            lits.append(-rng.choice(lits))
+        body.append([str(w)] + [str(l) for l in lits] + ["0"])
+    declared = len(body) + rng.choice((0, 0, 0, -1, 1))
+    lines = [["p", "wcnf", str(nvars), str(max(declared, 0)), str(top)]] + body
+    for _ in range(rng.randint(0, 4)):
+        lines.insert(rng.randrange(len(lines) + 1),
+                     rng.choice([["c", "a", "comment"], ["c"], ["cc", "1", "0"], []]))
+    if rng.random() < 0.5:
+        _corrupt(rng, lines, top)
+    sep = rng.choice([" ", "\t", "  ", " \t"])
+    pad = rng.choice(["", " ", "\t"])
+    text = rng.choice(["\n", "\r\n"]).join(pad + sep.join(toks) for toks in lines)
+    if rng.random() < 0.7:
+        text += "\n"
+    if rng.random() < 0.3:
+        data = text.encode()
+        if rng.random() < 0.1:
+            at = rng.randrange(len(data) + 1)
+            data = data[:at] + b"\xff" + data[at:]
+        return data
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        f = parse(text)
+    except WcnfParseError as e:
+        return ("error", str(e), e.line_no)
+    return ("formula", f.num_vars, [c.lits for c in f.hard],
+            [(c.lits, w) for c, w in f.soft], f.warnings, f)
+
+
+def test_parse_matches_the_reference_parser_on_seeded_texts():
+    kinds = {"formula": 0, "error": 0}
+    for seed in range(500):
+        text = random_wdimacs(random.Random(seed))
+        got, want = _outcome(parse_wcnf, text), _outcome(reference_parse_wcnf, text)
+        assert got == want, (seed, text)
+        kinds[got[0]] += 1
+    assert min(kinds.values()) >= 150, kinds  # both paths are exercised
+
+
+# ----------------------------------------------------------------------
 # clause normalization
 
 def test_clause_dedup_preserves_first_occurrence():
@@ -165,6 +328,28 @@ def test_clause_tautology_kept_and_never_costs():
     assert c.satisfied_by({1: True}) and c.satisfied_by({1: False})
     assert cost(f, {1: True}) == 0
     assert cost(f, {1: False}) == 0
+
+
+def test_clause_is_slotted_frozen_and_picklable():
+    c = Clause.of([3, -1, 3])
+    assert not hasattr(c, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.lits = (1,)
+    assert c.lits == (3, -1)
+    again = pickle.loads(pickle.dumps(c))
+    assert again == c and again.lits == (3, -1) and hash(again) == hash(c)
+
+
+def test_parsed_clauses_are_ordinary_clauses_and_pickle():
+    f = parse_wcnf("p wcnf 3 4 9\n9 1 -2 1 0\n4 -3 0\n2 3 -3 0\n")
+    assert f.hard == [Clause.of([1, -2])]
+    assert all(type(c) is Clause and not hasattr(c, "__dict__")
+               for c in f.hard + [c for c, _ in f.soft])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.hard[0].lits = ()
+    again = pickle.loads(pickle.dumps(f))
+    assert again == f and again.warnings == f.warnings == [
+        "header declares 4 clauses, found 3"]
 
 
 def test_duplicate_soft_clauses_stay_distinct():
