@@ -56,9 +56,6 @@ class Clause:
         return any(assignment[abs(l)] == (l > 0) for l in self.lits)
 
 
-_SET_LITS = Clause.lits.__set__  # stores a clause's slot past the frozen __setattr__
-
-
 def _max_var(clauses) -> int:
     """Largest variable in any of the clauses, 0 when there are none."""
     return max(map(abs, chain.from_iterable(c.lits for c in clauses)), default=0)
@@ -141,7 +138,7 @@ def parse_wcnf(text) -> WcnfFormula:
     add_hard = hard.append
     add_soft = soft.append
     new = object.__new__
-    set_lits = _SET_LITS
+    set_lits = Clause.lits.__set__  # the slot's own store, past the frozen __setattr__
     line_no = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
         toks = line.split()
