@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Write a directory of seeded random WDIMACS instances.
 
-Three families are available: `random` (small weighted partial instances
+Four families are available: `random` (small weighted partial instances
 with a satisfiable hard part), `bmo` (multilevel-dominant weight structure,
-solved exactly by greedy per-cluster minimization at m=#weights), and
+solved exactly by greedy per-cluster minimization at m=#weights),
 `fidelity` (many distinct weights in gap-separated tiers, for cluster-count
-sweeps).
+sweeps), and `planted` (a 412-variable planted-satisfiable 3-CNF with pair
+gadgets, whose SAT calls barely conflict but decide most of the formula).
 """
 
 import argparse
@@ -18,7 +19,7 @@ from apxmaxsat import harness, wcnf
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("directory")
-    parser.add_argument("--family", choices=["random", "bmo", "fidelity"],
+    parser.add_argument("--family", choices=["random", "bmo", "fidelity", "planted"],
                         default="random")
     parser.add_argument("--count", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
@@ -29,7 +30,8 @@ def main():
     rng = random.Random(args.seed)
     make = {"random": harness.random_wcnf,
             "bmo": harness.random_bmo_wcnf,
-            "fidelity": harness.fidelity_family}[args.family]
+            "fidelity": harness.fidelity_family,
+            "planted": harness.planted_family}[args.family]
     for i in range(args.count):
         f = make(rng)
         path = out / f"{args.family}_{args.seed:04d}_{i:03d}.wcnf"

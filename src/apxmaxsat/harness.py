@@ -11,8 +11,8 @@
   machine-readable report plus a plain-text table. Its rows are the
   searches' own reports (search.SearchReport) without their models, so a
   report row carries every field a search reports.
-* random_wcnf / random_bmo_wcnf / fidelity_family: seeded instance
-  generators for tests and desk-scale experiments.
+* random_wcnf / random_bmo_wcnf / fidelity_family / planted_family: seeded
+  instance generators for tests and desk-scale experiments.
 """
 
 from __future__ import annotations
@@ -204,6 +204,27 @@ def fidelity_family(rng: random.Random, pairs: int = 8,
         f = wcnf.WcnfFormula(n, hard + texture, soft)
         if search.check_hard(f, max_conflicts=20000)[0].value == "SAT":
             return f
+
+
+def planted_family(rng: random.Random, n: int = 400, units: int = 12,
+                   pairs: int = 6) -> wcnf.WcnfFormula:
+    """Planted-satisfiable random 3-CNF of 2.5n clauses, each satisfied by
+    a hidden model that every soft unit (weight 1-8) agrees with, plus pair
+    gadgets: a hard (a or b) on fresh a, b and soft units -a, -b. SAT calls
+    that barely conflict but decide most of the formula."""
+    hidden = [rng.random() < 0.5 for _ in range(n + 1)]
+    hard = []
+    while len(hard) < 5 * n // 2:
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+        if any(hidden[abs(l)] == (l > 0) for l in lits):
+            hard.append(wcnf.Clause.of(lits))
+    soft = [(wcnf.Clause.of([v if hidden[v] else -v]), rng.randint(1, 8))
+            for v in rng.sample(range(1, n + 1), units)]
+    for a in range(n + 1, n + 2 * pairs, 2):
+        hard.append(wcnf.Clause.of([a, a + 1]))
+        soft += [(wcnf.Clause.of([-a]), rng.randint(1, 8)),
+                 (wcnf.Clause.of([-a - 1]), rng.randint(1, 8))]
+    return wcnf.WcnfFormula(n + 2 * pairs, hard, soft)
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,34 @@ _pick_branch in locals, and enqueues each decision inline: a descent's SAT
 call re-walks about 1500 decisions with 0-1 conflicts on large instances,
 so the per-decision attribute loads and calls add up.
 
+Trail levels ascend only until a backjump is kept chronological
+(chronological backtracking: Nadel and Ryvchin, SAT 2018, made simple and
+sound by Moehle and Biere, "Backing Backtracking", SAT 2019). When a
+learned clause would jump back more than _CHRONO levels, the solver
+backtracks only to one level below the conflict's and asserts the learned
+literal at its own lower level, the highest of the clause's other
+literals, on top of the kept trail: a unit learned at level 1500 does not
+drop the search to level 0 only for it to make the same 1500 phase-saved
+decisions again. While the trail holds such an out-of-order literal it is
+mixed (_mixed holds the least level one was placed at), and then:
+- an implied literal's level is its implication level, the highest among
+  its reason's other literals; _imply_levels sets it after each
+  propagation, in trail order, so every reason is done before what it
+  implies;
+- a backtrack to level t keeps the literals of level <= t above its cut:
+  they move down to the cut in their order and are propagated again,
+  which also mends the watches of any clause they falsify;
+- a conflict's level is the highest in its clause, which may lie below
+  the current level; level 0 means UNSAT. _analyze learns at that level
+  and its trail walk passes over the lower-level literals above it. The
+  backjump that follows goes below that level anyway, so nothing
+  backtracks to it first.
+A backtrack to _mixed or below leaves the trail in order again: at every
+restart and at the start of every call. While the trail is in order none
+of this costs a per-literal step: both watches of a conflict were set at
+the current level, which is its level, and an implied literal takes the
+current level, the highest of its reason's.
+
 A solve call may take a Budget, which it charges with its conflicts and
 polls on entry, after every conflict and every 1024 decisions; exhaustion
 yields UNKNOWN. A fixed seed makes runs reproducible; the seed only feeds
@@ -92,6 +120,7 @@ _SCAN_LIMIT = 32  # add_clause scans a list this short faster than it hashes
 _HOT_SHARE = 4  # rebuild the order once the hot heap holds a quarter of it
 _HOT_SLACK = 64
 _UNORDERED = 1 << 62  # order position of a non-decision variable
+_CHRONO = 100  # Nadel and Ryvchin's T: a longer backjump is kept chronological
 
 
 class Status(Enum):
@@ -178,6 +207,9 @@ class SatSolver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
+        # -1 while the trail's levels ascend; else the least level of a
+        # literal placed out of order (see the module docstring)
+        self._mixed = -1
         # branching: see the module docstring
         self._order: list[int] = []  # decision variables by (-activity, v)
         self._pos = [_UNORDERED] + [-1] * n  # place in _order; -1 while hot
@@ -302,7 +334,9 @@ class SatSolver:
     def _backtrack(self, target: int) -> None:
         """Unassign every level above target, saving each phase. The
         pointer moves back to the least order position unassigned; a hot
-        variable is pushed back on the heap instead."""
+        variable is pushed back on the heap instead. On a mixed trail the
+        literals of level <= target above the cut stay assigned: they move
+        down to the cut, in their order, and are propagated again."""
         if len(self.trail_lim) <= target:
             return
         lim = self.trail_lim[target]
@@ -312,7 +346,16 @@ class SatSolver:
         reason = self.reason
         pos = self._pos
         low = self._ptr
-        for lit in trail[lim:]:
+        gone = trail[lim:]
+        kept = None
+        if self._mixed >= 0:
+            level = self.level
+            kept = [lit for lit in gone if level[abs(lit)] <= target]
+            if kept:
+                gone = [lit for lit in gone if level[abs(lit)] > target]
+            if target <= self._mixed:
+                self._mixed = -1  # what is kept sits at level target, the top
+        for lit in gone:
             v = lit if lit > 0 else -lit
             phase[v] = lit > 0
             value[lit] = value[-lit] = 0
@@ -324,6 +367,8 @@ class SatSolver:
                     low = pos[v]
         self._ptr = low
         del trail[lim:]
+        if kept:
+            trail += kept
         del self.trail_lim[target:]
         self.qhead = min(self.qhead, lim)
         self._maybe_rebuild_order()
@@ -401,7 +446,22 @@ class SatSolver:
             break  # a conflict
         self.stats["propagations"] += qhead - start
         self.qhead = len(trail) if conflict is not None else qhead
+        if self._mixed >= 0:
+            self._imply_levels(start)
         return conflict
+
+    def _imply_levels(self, start: int) -> None:
+        """On a mixed trail, give each literal implied since trail[start]
+        the highest level among its reason's other literals, in trail
+        order, so every reason is done before the literals it implies."""
+        arena = self.arena
+        level = self.level
+        reason = self.reason
+        for lit in self.trail[start:]:
+            v = lit if lit > 0 else -lit
+            r = reason[v]
+            if r is not None:  # not a decision or a unit
+                level[v] = max([level[abs(q)] for q in arena[r + 2:r + 1 + arena[r]]])
 
     # ------------------------------------------------------------------
     # conflict analysis (first UIP)
@@ -438,7 +498,12 @@ class SatSolver:
                 act[d] *= 1e-100
             self.cla_inc *= 1e-100
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _analyze(self, confl: int, cur: int) -> tuple[list[int], int]:
+        """First-UIP learning at the conflict's level cur, the highest
+        level in confl. seen marks a variable 1 at level cur and 2 below it,
+        so the trail walk passes over the lower ones that a mixed trail
+        holds above the conflict level's literals; literals of higher
+        levels are in no clause it resolves."""
         learnt = [0]  # slot 0 becomes the asserting literal
         seen = bytearray(self.num_vars + 1)
         arena = self.arena
@@ -451,7 +516,6 @@ class SatSolver:
         pos = self._pos
         heap = self._heap
         var_inc = self.var_inc
-        cur = len(self.trail_lim)
         counter = 0
         idx = len(trail) - 1
         p = 0
@@ -463,7 +527,6 @@ class SatSolver:
                 q = arena[k]
                 v = abs(q)
                 if not seen[v] and level[v] > 0:
-                    seen[v] = 1
                     # bump v; a non-decision variable's activity is never read
                     if decision[v]:
                         act = activity[v] + var_inc
@@ -476,10 +539,12 @@ class SatSolver:
                             pos[v] = -1  # hot until the next rebuild
                             heappush(heap, (-act, v))
                     if level[v] >= cur:
+                        seen[v] = 1
                         counter += 1
                     else:
+                        seen[v] = 2
                         learnt.append(q)
-            while not seen[abs(trail[idx])]:
+            while seen[abs(trail[idx])] != 1:
                 idx -= 1
             p = trail[idx]
             idx -= 1
@@ -499,13 +564,16 @@ class SatSolver:
         learnt[1], learnt[mi] = learnt[mi], learnt[1]
         return learnt, level[abs(learnt[1])]
 
-    def _record(self, learnt: list[int]) -> None:
-        if len(learnt) == 1:
-            self._enqueue(learnt[0], None)
-            return
-        c = self._attach(learnt)
-        self.learnts[c] = self.cla_inc
+    def _record(self, learnt: list[int], lvl: int) -> None:
+        """Learn the clause and assert learnt[0] at level lvl, the highest
+        of its other literals: the top, or below it after a chronological
+        backtrack."""
+        c = None
+        if len(learnt) > 1:
+            c = self._attach(learnt)
+            self.learnts[c] = self.cla_inc
         self._enqueue(learnt[0], c)
+        self.level[abs(learnt[0])] = lvl
 
     # ------------------------------------------------------------------
     # branching
@@ -642,12 +710,22 @@ class SatSolver:
                 if budget.conflicts_left is not None:
                     budget.conflicts_left -= 1
                 since_restart += 1
-                if not trail_lim:
+                if self._mixed < 0:
+                    cl = len(trail_lim)  # both watches of confl are at the top
+                else:  # the conflict's level is its clause's highest
+                    arena = self.arena
+                    cl = max([level[abs(q)]
+                              for q in arena[confl + 1:confl + 1 + arena[confl]]])
+                if not cl:
                     self.ok = False
                     return Status.UNSAT, None
-                learnt, bt = self._analyze(confl)
-                self._backtrack(bt)
-                self._record(learnt)
+                learnt, bt = self._analyze(confl, cl)
+                if cl - bt > _CHRONO:  # keep the levels below the conflict's
+                    self._backtrack(cl - 1)
+                    self._mixed = bt if self._mixed < 0 else min(self._mixed, bt)
+                else:
+                    self._backtrack(bt)
+                self._record(learnt, bt)
                 self.var_inc *= self.var_decay_inv
                 self.cla_inc *= self.cla_decay_inv
                 if budget.exhausted():

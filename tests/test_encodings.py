@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from apxmaxsat import encodings, harness
+from apxmaxsat import encodings, harness, satcore
 from apxmaxsat.encodings import (CnfBuffer, EncodingInterrupted, EncodingTooLarge,
                                  GeneralizedTotalizer, Totalizer, plan_gte)
 from apxmaxsat.satcore import Budget, SatSolver, Status
@@ -561,6 +561,14 @@ def test_gte_in_solver_agrees_with_enumeration(case, seed):
             sink.add_clause([t if st_ is Status.SAT else -t])
     # every variable the encoder made is left to propagation
     assert not any(solver.decision[n + 1:])
+
+
+def test_gte_in_solver_agrees_with_enumeration_when_every_backjump_is_chronological(
+        monkeypatch):
+    # the same cases with T = 0: non-decision outputs, selectors and
+    # retirements on trails whose levels do not ascend
+    monkeypatch.setattr(satcore, "_CHRONO", 0)
+    test_gte_in_solver_agrees_with_enumeration()
 
 
 def test_cnf_buffer_dimacs():

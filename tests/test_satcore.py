@@ -553,11 +553,11 @@ def test_watch_lists_hold_each_live_clause_once_per_watched_literal():
     mid_list = 0  # conflicts found before the end of a watch list
     analyze = s._analyze
 
-    def counted(confl):
+    def counted(confl, level):
         nonlocal mid_list
         ws = s.watches[s.arena[confl + 2]]  # the list the conflict was found in
         mid_list += ws.index(confl) < len(ws) - 1
-        return analyze(confl)
+        return analyze(confl, level)
 
     s._analyze = counted
     for assumptions in ([], [1, -2, 3], [-4, 5]):
@@ -628,3 +628,101 @@ def test_propagations_counted_per_solve():
     assert set(runs[0]) == {"conflicts", "decisions", "restarts", "reductions",
                             "propagations"}
     assert runs[0]["propagations"] > runs[0]["decisions"] > 0
+
+
+# ----------------------------------------------------------------------
+# chronological backtracking
+
+def count_chronological_steps(s, seen):
+    """Count in seen the learned literals asserted below the current level
+    and the backtracks that keep literals above their cut."""
+    record, backtrack = s._record, s._backtrack
+
+    def counted_record(learnt, lvl):
+        seen["asserted below the top"] += lvl < len(s.trail_lim)
+        record(learnt, lvl)
+
+    def counted_backtrack(target):
+        if len(s.trail_lim) > target:
+            above = s.trail[s.trail_lim[target]:]
+            seen["kept"] += any(s.level[abs(l)] <= target for l in above)
+        backtrack(target)
+
+    s._record, s._backtrack = counted_record, counted_backtrack
+
+
+def assert_implication_levels(s):
+    """Every implied literal sits at the highest level of its reason's
+    other literals."""
+    for lit in s.trail:
+        r = s.reason[abs(lit)]
+        if r is not None:
+            assert s.arena[r + 1] == lit
+            others = s.arena[r + 2:r + 1 + s.arena[r]]
+            assert s.level[abs(lit)] == max(s.level[abs(q)] for q in others)
+
+
+def test_every_backjump_chronological_agrees_with_enumeration(monkeypatch):
+    # T = 0: every conflict backtracks one level below its own and asserts
+    # on top; clauses arrive between calls, each call under fresh assumptions
+    monkeypatch.setattr(satcore, "_CHRONO", 0)
+    rng = random.Random(2323)
+    seen = Counter()
+    for trial in range(400):
+        n = rng.randint(8, 12)
+        s = SatSolver(n, seed=trial)
+        count_chronological_steps(s, seen)
+        clauses = []
+        for call in range(8):  # a random 3-CNF that grows towards UNSAT
+            for _ in range(rng.randint(n // 2, n)):
+                vs = rng.sample(range(1, n + 1), 3)
+                clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+                s.add_clause(clauses[-1])
+            assumed = [v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, n + 1), rng.randint(0, 3))]
+            st_, model = s.solve(assumed)
+            forced = clauses + [[l] for l in assumed]
+            expected = truth_table_sat(n, forced)
+            assert st_ is (Status.SAT if expected else Status.UNSAT), (trial, call)
+            if st_ is Status.SAT:
+                assert all(clause_sat(c, model) for c in forced), (trial, call)
+                assert_implication_levels(s)
+            assert_watches_exact(s)
+            seen[st_] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def chain_after_free_variables(free):
+    """free unconstrained variables, then a, b, c with every clause of
+    (a or b or c) and its sign flips over b and c, and (not a or d):
+    branched last, a false is refuted by a conflict that learns the unit
+    a, which implies d."""
+    s = SatSolver(free + 4, seed=1)
+    s.rng = NeverRandom()
+    a, b, c, d = range(free + 1, free + 5)
+    clauses = [[a, x, y] for x in (b, -b) for y in (c, -c)] + [[-a, d]]
+    for cl in clauses:
+        s.add_clause(cl)
+    return s, a, d, clauses
+
+
+def test_far_backjump_keeps_the_levels_below_the_conflict(monkeypatch):
+    free = 150  # a unit learned at level 151 jumps more than _CHRONO levels
+    s, a, d, clauses = chain_after_free_variables(free)
+    st_, model = s.solve()
+    assert st_ is Status.SAT and all(clause_sat(c, model) for c in clauses)
+    # a is asserted, and d implied, at level 0 on top of the kept levels
+    assert model[a] and model[d] and s.level[a] == s.level[d] == 0
+    assert s.trail.index(a) > s.trail_lim[free - 1]
+    assert_implication_levels(s)
+    # the free variables' decisions were made once and are all still there
+    assert len(s.trail_lim) >= free
+    assert [s.trail[lim] for lim in s.trail_lim[:free]] == [-v for v in range(1, free + 1)]
+    assert s.stats["decisions"] < 2 * free
+    # the next call starts from level 0, where the trail is in order again
+    assert s.solve()[0] is Status.SAT and s._mixed == -1
+    # a backjump to level 0 would make every one of them again
+    monkeypatch.setattr(satcore, "_CHRONO", free + 10)
+    s, a, d, _ = chain_after_free_variables(free)
+    assert s.solve()[0] is Status.SAT and s.level[a] == s.level[d] == 0
+    assert s.stats["decisions"] > 2 * free

@@ -19,7 +19,7 @@ def run_script(name, *args, env=None):
                           capture_output=True, text=True, timeout=300, env=env)
 
 
-@pytest.mark.parametrize("family", ["random", "bmo", "fidelity"])
+@pytest.mark.parametrize("family", ["random", "bmo", "fidelity", "planted"])
 def test_gen_instances_writes_parseable_files(tmp_path, family):
     out = tmp_path / "suite"
     r = run_script("gen_instances.py", str(out), "--family", family, "--count", "2")

@@ -338,26 +338,6 @@ def three_tier(rng, n=120):
     return wcnf.WcnfFormula(n, hard, soft)
 
 
-def planted(rng, n=400, units=12, pairs=6):
-    """Planted-satisfiable random 3-CNF of 2.5n clauses, each satisfied by
-    a hidden model that every soft unit (weight 1-8) agrees with, plus pair
-    gadgets: a hard (a or b) on fresh a, b and soft units -a, -b. SAT calls
-    that barely conflict but decide most of the formula."""
-    hidden = [rng.random() < 0.5 for _ in range(n + 1)]
-    hard = []
-    while len(hard) < 5 * n // 2:
-        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
-        if any(hidden[abs(l)] == (l > 0) for l in lits):
-            hard.append(wcnf.Clause.of(lits))
-    soft = [(wcnf.Clause.of([v if hidden[v] else -v]), rng.randint(1, 8))
-            for v in rng.sample(range(1, n + 1), units)]
-    for a in range(n + 1, n + 2 * pairs, 2):
-        hard.append(wcnf.Clause.of([a, a + 1]))
-        soft += [(wcnf.Clause.of([-a]), rng.randint(1, 8)),
-                 (wcnf.Clause.of([-a - 1]), rng.randint(1, 8))]
-    return wcnf.WcnfFormula(n + 2 * pairs, hard, soft)
-
-
 @pytest.mark.parametrize("make, timeout_s", [
     (lambda rng: wide_weights(rng, 44), 2.0),
     (three_tier, 3.0),
@@ -737,7 +717,7 @@ def test_search_reports_are_pinned(monkeypatch):
     got = {"random": run([harness.random_wcnf(rng) for _ in range(6)]),
            "fidelity": run([harness.fidelity_family(seeded_rng(20250810))]),
            "three-tier": run([three_tier(seeded_rng(60), n=30)]),
-           "planted": run([planted(seeded_rng(400))])}
+           "planted": run([harness.planted_family(seeded_rng(400))])}
     monkeypatch.setattr(encodings, "MAX_GTE_CLAUSES", 60)
     rng = seeded_rng(8080)
     got["capped"] = run([harness.random_wcnf(rng) for _ in range(6)])
@@ -760,5 +740,5 @@ def test_search_reports_are_pinned(monkeypatch):
         "fidelity": (231, "21a6757563148d1c"),
         "three-tier": (381, "5f2c261b0b5a6fed"),
         "capped": (2, "f56c515c11cb26c5"),
-        "planted": (217, "fa221847ffa7a5f0"),
+        "planted": (208, "56dd461a4d4fd723"),
     }
