@@ -5,13 +5,15 @@ Runs the paper's nine configs (apx-weight m=0,1,2,3,weights and
 apx-subprob m=1,2,3,weights) at 2000 conflicts on the same instances in
 this checkout and in the one given by --root, each in a subprocess that
 imports that checkout's own src/; neither needs to be a git checkout. The
-instances are seeded harness.random_wcnf, random_bmo_wcnf and
-fidelity_family instances (seeds 0..N-1 of each, drawn here), plus every
+instances are seeded harness.random_wcnf, random_bmo_wcnf, fidelity_family
+and planted_family instances (seeds 0..N-1 of each, drawn here), plus every
 *.wcnf file in --dir; both sides get the same WDIMACS text, and the solver
-seed of each report is its instance's index. Prints how many reports
-differ in status, bounds, exact, clusters, fallbacks, cost, trace costs,
-solver_stats, encoders (each build's inputs, clauses, variables and
-refusal) or warm, naming each on stderr, and exits 1 if any does.
+seed of each report is its instance's index. The planted instances reach
+decision-heavy searches and backjumps of over 100 levels, which the other
+families never make. Prints how many reports differ in status, bounds,
+exact, clusters, fallbacks, cost, trace costs, solver_stats, encoders
+(each build's inputs, clauses, variables and refusal) or warm, naming
+each on stderr, and exits 1 if any does.
 --answers compares only status, bounds, exact, clusters, fallbacks and
 cost, for a change that may move the search's path (its trace, solver
 stats and encoder builds) but not its answers.
@@ -86,7 +88,8 @@ def instances(seeds: int, directory: Path | None) -> list[tuple[str, str]]:
     out = []
     for family, make in (("random", harness.random_wcnf),
                          ("bmo", harness.random_bmo_wcnf),
-                         ("fidelity", harness.fidelity_family)):
+                         ("fidelity", harness.fidelity_family),
+                         ("planted", harness.planted_family)):
         out += [(f"{family}/{seed}", wcnf.serialize_wcnf(make(random.Random(seed))))
                 for seed in range(seeds)]
     if directory is not None:

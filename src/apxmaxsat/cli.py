@@ -25,7 +25,7 @@ import threading
 from pathlib import Path
 
 from . import search, wcnf
-from .encodings import MAX_GTE_CLAUSES, CnfBuffer, GeneralizedTotalizer
+from .encodings import MAX_GTE_CLAUSES, CnfBuffer, GeneralizedTotalizer, Totalizer
 
 EXIT_OPTIMUM = 30
 EXIT_SAT = 10
@@ -132,9 +132,8 @@ def _load_instance(path: str):
         return None
 
 
-def _print_v_line(model: wcnf.Model, num_vars: int) -> None:
-    lits = (str(v) if model.assignment[v] else str(-v)
-            for v in range(1, num_vars + 1))
+def _print_v_line(assignment: dict[int, bool], num_vars: int) -> None:
+    lits = (str(v) if assignment[v] else str(-v) for v in range(1, num_vars + 1))
     print("v " + " ".join(lits), flush=True)
 
 
@@ -198,7 +197,7 @@ def _cmd_solve(args) -> int:
         print("s UNKNOWN", flush=True)
         return EXIT_UNKNOWN
     print("s OPTIMUM FOUND" if report.exact else "s SATISFIABLE", flush=True)
-    _print_v_line(report.best, f.num_vars)
+    _print_v_line(report.best.assignment, f.num_vars)
     return EXIT_OPTIMUM if report.exact else EXIT_SAT
 
 
@@ -237,7 +236,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    bound = args.bound
     if args.kind == "card":
         if args.inputs is None or args.inputs < 1:
             print("apxmaxsat: card needs --inputs N (N >= 1)", file=sys.stderr)
@@ -245,9 +243,7 @@ def _cmd_encode(args) -> int:
         if args.inputs > MAX_GTE_CLAUSES:  # the output links alone pass the cap
             print(f"apxmaxsat: encoding over {MAX_GTE_CLAUSES} clauses", file=sys.stderr)
             return EXIT_ERROR
-        weights = [1] * args.inputs
-        cap = args.inputs
-        bound = min(bound, cap)  # at most N of N inputs holds anyway
+        buf = CnfBuffer(args.inputs)
     else:
         if not args.weights:
             print("apxmaxsat: pb needs --weights w1,w2,...", file=sys.stderr)
@@ -257,12 +253,18 @@ def _cmd_encode(args) -> int:
         except ValueError:
             print("apxmaxsat: bad --weights", file=sys.stderr)
             return EXIT_ERROR
-        cap = args.max_bound if args.max_bound is not None else sum(weights)
-    buf = CnfBuffer(len(weights))
+        buf = CnfBuffer(len(weights))
     try:
-        gte = GeneralizedTotalizer(
-            list(zip(range(1, len(weights) + 1), weights)), cap, buf)
-        gte.set_bound(bound, buf)
+        if args.kind == "card":
+            enc = Totalizer(range(1, args.inputs + 1), buf)
+        else:
+            cap = args.max_bound if args.max_bound is not None else sum(weights)
+            enc = GeneralizedTotalizer(
+                list(zip(range(1, len(weights) + 1), weights)), cap, buf)
+        # past the input count or the weights' sum a bound constrains
+        # nothing; only a bound past an explicit --max-bound is an error
+        explicit = args.kind == "pb" and args.max_bound is not None
+        enc.set_bound(args.bound if explicit else min(args.bound, enc.max_bound), buf)
     except ValueError as e:
         print(f"apxmaxsat: {e}", file=sys.stderr)
         return EXIT_ERROR
@@ -286,7 +288,7 @@ def _cmd_oracle(args) -> int:
     cost, assignment = result
     print(f"o {cost}", flush=True)
     print("s OPTIMUM FOUND", flush=True)
-    _print_v_line(wcnf.Model(assignment, cost, cost), f.num_vars)
+    _print_v_line(assignment, f.num_vars)
     return EXIT_OPTIMUM
 
 

@@ -5,6 +5,9 @@ propagation, first-UIP learning, activity-ordered branching with phase
 saving (default polarity false), geometric restarts, and activity-based
 learned-clause deletion. Clauses can be added between solve calls; clauses
 are never retracted, so the database only grows within a search episode.
+The learned-clause limit starts at max(4000, twice the problem clauses),
+counted off the watch lists at the first call: every clause attached by
+then is a problem clause watched twice, and none is learned yet.
 
 Clauses live in one flat list of ints, the arena (MiniSat's layout). A
 clause is the int offset of its header, which holds the clause's size and
@@ -39,14 +42,16 @@ are kept across calls.
 Only decision variables are branched on. A variable made with
 new_var(decision=False) never enters the branching order: propagation alone
 assigns it, and at SAT one it left unassigned reads False in the model
-(MiniSat's decision flag). That model satisfies every clause as long as no
-clause holds more than one positive literal over non-decision variables:
-at a propagation fixpoint with every decision variable assigned, a clause
-not yet satisfied has at least two unassigned literals, all over
-non-decision variables, so at least one of them is negative and reading
-False satisfies it. Learned clauses follow from the clauses added, so the
-model satisfies them too; UNSAT answers do not depend on branching at all.
-The variables the encoders make meet this contract (see encodings).
+(MiniSat's decision flag); its only record is its order position, which
+stays _UNORDERED, since no rebuild places it and no bump makes it hot.
+That model satisfies every clause as long as no clause holds more than one
+positive literal over non-decision variables: at a propagation fixpoint
+with every decision variable assigned, a clause not yet satisfied has at
+least two unassigned literals, all over non-decision variables, so at
+least one of them is negative and reading False satisfies it. Learned
+clauses follow from the clauses added, so the model satisfies them too;
+UNSAT answers do not depend on branching at all. The variables the
+encoders make meet this contract (see encodings).
 
 Branching picks the unassigned decision variable of highest activity,
 the lower index first among equals: the least key (-activity, v), as
@@ -187,12 +192,9 @@ class SatSolver:
         # deleted; a clause is the offset of its header
         self.arena: list[int] = []
         self.learnts: dict[int, float] = {}  # learnt offset -> activity
-        self._problem_clauses = 0
         self._garbage = 0  # arena cells held by deleted clauses
-        # literal-indexed state, -l reached by negative indexing: slots
-        # 1.._cap hold the positive literals, the last _cap slots the
-        # negative ones
-        self._cap = cap
+        # literal-indexed state, -l reached by negative indexing: slots 1..cap
+        # hold the positive literals, the last cap the negative ones
         self.value = [0] * (2 * cap + 1)  # 1 true, -1 false, 0 unassigned
         self.watches: list[list[int] | None] = (
             [None] + [[] for _ in range(n)] + [None] * (2 * (cap - n))
@@ -202,7 +204,6 @@ class SatSolver:
         self.reason: list[int | None] = [None] * (n + 1)
         self.phase = [False] * (n + 1)    # saved polarity; default false
         self.activity = [0.0] * (n + 1)
-        self.decision = [False] + [True] * n  # branched on; see new_var
         self._decisions = list(range(1, n + 1))  # the decision variables, ascending
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -235,8 +236,9 @@ class SatSolver:
         variables; otherwise a SAT model may falsify a clause."""
         self.num_vars += 1
         v = self.num_vars
-        if v > self._cap:
-            self._grow(max(2 * self._cap, 16))
+        cap = len(self.value) >> 1
+        if v > cap:
+            self._grow(max(2 * cap, 16))
         self.value[v] = self.value[-v] = 0
         self.watches[v] = []
         self.watches[-v] = []
@@ -244,7 +246,6 @@ class SatSolver:
         self.reason.append(None)
         self.phase.append(False)
         self.activity.append(0.0)
-        self.decision.append(decision)
         if decision:
             self._decisions.append(v)
             self._pos.append(-1)
@@ -255,11 +256,10 @@ class SatSolver:
 
     def _grow(self, cap: int) -> None:
         """Widen the literal-indexed lists to hold variables 1..cap."""
-        old = self._cap
+        old = len(self.value) >> 1
         gap = 2 * (cap - old)
         self.value = self.value[:old + 1] + [0] * gap + self.value[old + 1:]
         self.watches = self.watches[:old + 1] + [None] * gap + self.watches[old + 1:]
-        self._cap = cap
 
     def _ensure_var(self, v: int) -> None:
         while self.num_vars < v:
@@ -300,7 +300,6 @@ class SatSolver:
                 out = [k for k in out if not value[k]]  # false ones stay false
                 break
         if len(out) > 1:
-            self._problem_clauses += 1
             self._attach(out)
         elif out:
             self._enqueue(out[0], None)
@@ -511,7 +510,6 @@ class SatSolver:
         reason = self.reason
         trail = self.trail
         learnts = self.learnts
-        decision = self.decision
         activity = self.activity
         pos = self._pos
         heap = self._heap
@@ -528,7 +526,7 @@ class SatSolver:
                 v = abs(q)
                 if not seen[v] and level[v] > 0:
                     # bump v; a non-decision variable's activity is never read
-                    if decision[v]:
+                    if pos[v] != _UNORDERED:
                         act = activity[v] + var_inc
                         activity[v] = act
                         if act > _RESCALE_LIMIT:
@@ -588,7 +586,7 @@ class SatSolver:
         value = self.value
         if self.num_vars > 0 and self.rng.random() < _RANDOM_DECISION_FREQ:
             v = self.rng.randint(1, self.num_vars)
-            if value[v] == 0 and self.decision[v]:
+            if value[v] == 0 and self._pos[v] != _UNORDERED:
                 return v
         heap = self._heap
         act = self.activity
@@ -688,8 +686,9 @@ class SatSolver:
         if self._propagate() is not None:
             self.ok = False
             return Status.UNSAT, None
-        if self._max_learnts is None:
-            self._max_learnts = max(4000.0, 2.0 * self._problem_clauses)
+        if self._max_learnts is None:  # see the module docstring
+            watched = sum(len(ws) for ws in self.watches if ws)  # 2 per clause
+            self._max_learnts = max(4000.0, float(watched))
         # the loop's state in locals: none of these lists is replaced while
         # it runs (_compact replaces arena, watches and reason only)
         trail = self.trail

@@ -280,26 +280,26 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
 
     def build(items, bound, plan, guard=None):
         """The planned GTE over items, built into the solver and logged in
-        report.encoders; None when the budget interrupts the build."""
+        report.encoders, also when the budget interrupts the build
+        (EncodingInterrupted)."""
         vars_before, clauses_before = solver.num_vars, solver.clauses_added
         try:
             return GeneralizedTotalizer(items, bound, solver, budget=budget,
                                         plan=plan, guard=guard)
-        except EncodingInterrupted:
-            return None
         finally:
             report.encoders.append(EncoderBuild(
                 len(items), solver.clauses_added - clauses_before,
                 solver.num_vars - vars_before))
 
     def sized(items, bound):
-        """plan_gte(items, bound), or None when the budget interrupts it,
-        logged as a build that made nothing. Raises EncodingTooLarge."""
+        """plan_gte(items, bound); a sizing the budget interrupts is logged
+        as a build that made nothing before EncodingInterrupted goes on.
+        Raises EncodingTooLarge."""
         try:
             return plan_gte(items, bound, budget)
         except EncodingInterrupted:
             report.encoders.append(EncoderBuild(len(items), 0, 0))
-            return None
+            raise
 
     def descend(enc, items, c, assume):
         """Lower c, the value of items in the current model, one SAT call
@@ -325,7 +325,7 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
         the inputs floored to 0, with every clause that forbids a floored sum
         guarded by a fresh literal assumed beside each step's selector and
         retired by its negated unit afterwards. False when the budget ran
-        out; a floored encoding over the cap is skipped."""
+        out in its descent; a floored encoding over the cap is skipped."""
         floored = [(r, w >> k) for r, w in items if w >> k]
         first = sum(w for r, w in floored if model[r])
         if not first:
@@ -335,13 +335,9 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
             plan = sized(floored, first)
         except EncodingTooLarge:
             return True  # the exact stage alone, as without the stage
-        if plan is None:
-            return False
         report.warm = (k, first, first)
         guard = solver.new_var(decision=False)
         enc = build(floored, first, plan, guard)
-        if enc is None:
-            return False
         st, last = descend(enc, floored, first, [guard])
         report.warm = (k, first, last)
         if st is Status.UNKNOWN:
@@ -349,50 +345,49 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
         solver.add_clause([-guard])
         return True
 
-    for j, items in enumerate(objectives):
-        c = sum(w for r, w in items if model[r])
-        warmed = False  # the floored stage runs once, before the exact build
-        enc = None
-        while c and enc is None:
+    try:
+        for j, items in enumerate(objectives):
+            c = sum(w for r, w in items if model[r])
+            warmed = False  # the floored stage runs once, before the exact build
+            enc = None
+            while c and enc is None:
+                report.bounds[j] = c
+                try:
+                    plan = sized(items, c)
+                except EncodingTooLarge:
+                    report.encoders.append(EncoderBuild(len(items), 0, 0, True))
+                    refused = len(part.clusters)
+                    # unit-weight counters have no coarser weights to fall to
+                    if not weighted or refused == 1:
+                        report.fallbacks.append((refused, None))
+                        return finish(SATISFIABLE)
+                    m = refused // 2
+                    report.fallbacks.append((refused, m))
+                    part, scheme = clustering.partition(f, m)
+                    items = list(zip(relax_of, scheme.weight_m))
+                    # a new Model: the one on_improve was given keeps its price
+                    report.best = replace(report.best, approx_cost=wcnf.cost(
+                        f, report.best.assignment, weights=scheme.weight_m))
+                    c = sum(w for r, w in items if model[r])
+                    continue
+                if (not warmed and weighted and scheme.weight_m == scheme.weight
+                        and plan.charge > WARM_CHARGE
+                        and (k := max(w for _, w in items).bit_length() - 3) > 0):
+                    warmed = True
+                    if not warm_up(items, k):
+                        return finish(SATISFIABLE)
+                    c = report.best.true_cost  # a model's true cost is its least value
+                    continue
+                enc = build(items, c, plan)
+            st, c = descend(enc, items, c, [])  # with c = 0 there is no enc
             report.bounds[j] = c
-            try:
-                plan = sized(items, c)
-            except EncodingTooLarge:
-                report.encoders.append(EncoderBuild(len(items), 0, 0, True))
-                refused = len(part.clusters)
-                # unit-weight counters have no coarser weights to fall to
-                if not weighted or refused == 1:
-                    report.fallbacks.append((refused, None))
-                    return finish(SATISFIABLE)
-                m = refused // 2
-                report.fallbacks.append((refused, m))
-                part, scheme = clustering.partition(f, m)
-                items = list(zip(relax_of, scheme.weight_m))
-                # a new Model: the one on_improve was given keeps its price
-                report.best = replace(report.best, approx_cost=wcnf.cost(
-                    f, report.best.assignment, weights=scheme.weight_m))
-                c = sum(w for r, w in items if model[r])
-                continue
-            if plan is None:
-                return finish(SATISFIABLE)  # best holds the first model at least
-            if (not warmed and weighted and scheme.weight_m == scheme.weight
-                    and plan.charge > WARM_CHARGE
-                    and (k := max(w for _, w in items).bit_length() - 3) > 0):
-                warmed = True
-                if not warm_up(items, k):
-                    return finish(SATISFIABLE)
-                c = report.best.true_cost  # a model's true cost is its least value
-                continue
-            enc = build(items, c, plan)
-            if enc is None:
+            if st is Status.UNKNOWN:
                 return finish(SATISFIABLE)
-        st, c = descend(enc, items, c, [])  # with c = 0 there is no enc
-        report.bounds[j] = c
-        if st is Status.UNKNOWN:
-            return finish(SATISFIABLE)
-        if not c:
-            for r, _ in items:
-                solver.add_clause([-r])
+            if not c:
+                for r, _ in items:
+                    solver.add_clause([-r])
+    except EncodingInterrupted:
+        return finish(SATISFIABLE)  # best holds the first model at least
     # after a fallback the minimum proven is that of coarser clusters than
     # the ones asked for
     return finish(SATISFIABLE if report.fallbacks else OPTIMUM_FOR_APPROXIMATION)

@@ -319,6 +319,23 @@ def test_encode_pb_dump_semantics():
     assert projections == {(False, False), (True, False), (False, True)}
 
 
+def test_encode_pb_bound_past_the_weights_sum_constrains_nothing():
+    # as for card: without --max-bound, all 4 patterns extend
+    r = run_cli("encode", "pb", "--weights", "2,3", "--bound", "10")
+    assert r.returncode == 0
+    nv, clauses = parse_dimacs(r.stdout)
+    projections = set()
+    for bits in range(1 << nv):
+        a = {v: bool(bits >> (v - 1) & 1) for v in range(1, nv + 1)}
+        if all(clause_sat(c, a) for c in clauses):
+            projections.add((a[1], a[2]))
+    assert len(projections) == 4
+    # a bound past an explicit cap is still refused
+    r = run_cli("encode", "pb", "--weights", "2,3", "--bound", "10", "--max-bound", "5")
+    assert_clean_error(r)
+    assert "bound 10 exceeds encoding cap 5" in r.stderr and r.stdout == ""
+
+
 def test_encode_pb_over_the_cap_exit_one():
     # weights 2^0..2^35 reach every sum below 2^36: far over the clause cap
     weights = ",".join(str(1 << i) for i in range(36))

@@ -560,7 +560,7 @@ def test_gte_in_solver_agrees_with_enumeration(case, seed):
                 assert all(clause_sat(c, model) for c in sink.clauses)
             sink.add_clause([t if st_ is Status.SAT else -t])
     # every variable the encoder made is left to propagation
-    assert not any(solver.decision[n + 1:])
+    assert all(p == satcore._UNORDERED for p in solver._pos[n + 1:])
 
 
 def test_gte_in_solver_agrees_with_enumeration_when_every_backjump_is_chronological(
@@ -569,6 +569,51 @@ def test_gte_in_solver_agrees_with_enumeration_when_every_backjump_is_chronologi
     # retirements on trails whose levels do not ascend
     monkeypatch.setattr(satcore, "_CHRONO", 0)
     test_gte_in_solver_agrees_with_enumeration()
+
+
+def test_order_place_alone_tells_decision_variables_apart(monkeypatch):
+    # a non-decision variable's only record is its _UNORDERED order place:
+    # through bumps of GTE outputs, a forced activity rescale and order
+    # rebuilds, the variables placed elsewhere are exactly the decision
+    # variables, those made with decision=True
+    monkeypatch.setattr(satcore, "_RESCALE_LIMIT", 100.0)
+    calls = dict.fromkeys(("_rescale_var_activity", "_rebuild_order"), 0)
+    for name in calls:
+        def counted(self, _method=getattr(SatSolver, name), _name=name):
+            calls[_name] += 1
+            _method(self)
+        monkeypatch.setattr(SatSolver, name, counted)
+    rng = random.Random(6)
+    n = 80
+    s = SatSolver(n, seed=2)
+    made = set(range(1, n + 1))
+
+    def check():
+        placed = {v for v in range(1, s.num_vars + 1) if s._pos[v] != satcore._UNORDERED}
+        assert placed == set(s._decisions) == made
+
+    for _ in range(4 * n):
+        s.add_clause([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)])
+    items = [(v, rng.randint(1, 9)) for v in rng.sample(range(1, n + 1), 30)]
+    b = sum(w for _, w in items)
+    gte = GeneralizedTotalizer(items, b, s)
+    check()
+    st_ = Status.SAT
+    while st_ is Status.SAT and b:  # a descent, as the search makes
+        t = gte.at_most(b - 1, s)
+        check()
+        st_, model = s.solve([t], budget=Budget(max_conflicts=500))
+        check()
+        s.add_clause([t if st_ is Status.SAT else -t])
+        a, d = s.new_var(), s.new_var(decision=False)  # d is (x and a)
+        made.add(a)
+        x = rng.randint(1, n)
+        for c in ([-x, -a, d], [x, -d], [a, -d]):
+            s.add_clause(c)
+        check()
+        if st_ is Status.SAT:
+            b = sum(w for l, w in items if model[l])
+    assert s.stats["conflicts"] >= 300 and all(calls.values()), (s.stats, calls)
 
 
 def test_cnf_buffer_dimacs():

@@ -159,6 +159,44 @@ def test_tautology_and_duplicate_literals():
     assert model[2] or model[3]
 
 
+@pytest.mark.parametrize("n", [60, 3000])
+def test_learned_clause_limit_starts_at_twice_the_problem_clauses(n):
+    # the limit is counted off the watch lists at the first call; count the
+    # clauses add_clause attaches here by its own rules instead. Units sit on
+    # variables 1..20 only and every other clause keeps two literals above
+    # 20, so the units propagate nothing further at level 0
+    rng = random.Random(n)
+    s = SatSolver(n, seed=1)
+    true: set[int] = set()
+    attached = 0
+    for _ in range(2 * n):
+        x, y, z = rng.sample(range(21, n + 1), 3)
+        u = rng.choice([-1, 1]) * rng.randint(1, 20)
+        lits = rng.choice([
+            [x, -y, z],            # attached
+            [u, x, y],             # dropped once u holds at level 0
+            [x, -x, y],            # tautology
+            [x, y, x, -z, y],      # duplicates
+            [u, u],                # a unit, or a conflict at level 0
+            [rng.randint(1, 20)],  # a unit
+        ])
+        if len(set(lits)) == 1 and -lits[0] in true:
+            continue  # would make the solver UNSAT
+        s.add_clause(lits)
+        kept = set(lits)
+        if len(kept) == 1:
+            true |= kept
+        elif not any(-l in kept for l in kept) and not kept & true:
+            attached += len([l for l in kept if -l not in true]) > 1
+    assert true and attached
+    assert s.solve(budget=Budget(max_conflicts=50))[0] is not Status.UNSAT
+    assert s._max_learnts == max(4000.0, 2.0 * attached)
+    limit = s._max_learnts
+    s.add_clause(rng.sample(range(21, n + 1), 3))  # a problem clause after the first call
+    s.solve(budget=Budget(max_conflicts=50))
+    assert s.stats["reductions"] == 0 and s._max_learnts == limit
+
+
 def test_long_clause_is_added_in_linear_time():
     # scanning the clause so far for every literal takes seconds at this length
     lits = list(range(1, 20001))
@@ -402,7 +440,7 @@ def check_each_pick(s, seen):
 
     def checked_pick():
         free = [(-s.activity[v], v) for v in range(1, s.num_vars + 1)
-                if s.value[v] == 0 and s.decision[v]]
+                if s.value[v] == 0 and s._pos[v] != satcore._UNORDERED]
         top = s._heap[0][1] if s._heap else None
         v = pick()
         assert v == (min(free)[1] if free else None)

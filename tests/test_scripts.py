@@ -141,7 +141,7 @@ def test_search_diff_finds_no_difference_against_the_same_checkout(tmp_path):
                    "--dir", str(tmp_path))
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == [
-        "4 instances, 36 reports: 0 differ",
+        "5 instances, 45 reports: 0 differ",
         "status=0 bounds=0 exact=0 clusters=0 fallbacks=0 cost=0 trace_costs=0"
         " solver_stats=0 encoders=0 warm=0"]
     assert r.stderr == ""
