@@ -237,6 +237,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_encode(args) -> int:
     if args.kind == "card":
+        if args.max_bound is not None:
+            print("apxmaxsat: --max-bound applies to pb only", file=sys.stderr)
+            return EXIT_ERROR
         if args.inputs is None or args.inputs < 1:
             print("apxmaxsat: card needs --inputs N (N >= 1)", file=sys.stderr)
             return EXIT_ERROR
@@ -263,7 +266,7 @@ def _cmd_encode(args) -> int:
                 list(zip(range(1, len(weights) + 1), weights)), cap, buf)
         # past the input count or the weights' sum a bound constrains
         # nothing; only a bound past an explicit --max-bound is an error
-        explicit = args.kind == "pb" and args.max_bound is not None
+        explicit = args.max_bound is not None
         enc.set_bound(args.bound if explicit else min(args.bound, enc.max_bound), buf)
     except ValueError as e:
         print(f"apxmaxsat: {e}", file=sys.stderr)

@@ -32,6 +32,15 @@ tests its one spare literal, and only clauses of four or more literals
 scan for a new watch. Most clauses the encoders and the relaxation make
 have two or three literals.
 
+add_clause branches on size for the same reason. The general path
+converts each literal with int(), checks its range, scans for duplicates
+and tautologies, backtracks to level 0 and drops literals fixed there; a
+list or tuple of two or three ints over distinct free variables in range,
+added while no level is open, needs none of that and goes straight to the
+arena and its two watch lists. It is the clause, arena layout and watch
+order the general path would make: the branch only skips checks whose
+outcome is known.
+
 A solve call may take assumptions (MiniSat style): literals that hold for
 that call only. Assumption i is decided at level i+1 before any branching;
 when one is already false at its turn the call returns UNSAT and the
@@ -266,10 +275,51 @@ class SatSolver:
             self.new_var()
 
     def add_clause(self, lits) -> None:
-        """Add a clause; no-op once the solver is in the UNSAT state."""
+        """Add a clause; no-op once the solver is in the UNSAT state.
+
+        A list or tuple of two or three ints (type int exactly) over
+        distinct free variables in 1..num_vars, added while no level is
+        open, takes a short branch: it is appended to the arena and its
+        first two literals' watch lists as _attach does. The general path
+        would do exactly that with such a clause, so both leave the same
+        arena, watch order and state; any other clause, or a call with a
+        level open, takes the general path."""
         self.clauses_added += 1
         if not self.ok:
             return
+        if (type(lits) is list or type(lits) is tuple) and not self.trail_lim:
+            head = None
+            size = len(lits)
+            if size == 3:
+                a, b, c = lits
+                if type(a) is int and type(b) is int and type(c) is int:
+                    # squares compare variables: l is a literal in range
+                    # when 0 < l * l <= num_vars ** 2, and two literals are
+                    # over distinct variables when their squares differ
+                    top = self.num_vars * self.num_vars
+                    sa, sb, sc = a * a, b * b, c * c
+                    value = self.value
+                    if (0 < sa <= top and 0 < sb <= top and 0 < sc <= top
+                            and sa != sb != sc != sa
+                            and not (value[a] or value[b] or value[c])):
+                        head = (3, a, b, c)
+            elif size == 2:
+                a, b = lits
+                if type(a) is int and type(b) is int:
+                    top = self.num_vars * self.num_vars
+                    sa, sb = a * a, b * b
+                    value = self.value
+                    if (0 < sa <= top and 0 < sb <= top and sa != sb
+                            and not (value[a] or value[b])):
+                        head = (2, a, b)
+            if head:  # _attach(list(lits)), inlined
+                arena = self.arena
+                k = len(arena)
+                arena += head
+                watches = self.watches
+                watches[a].append(k)
+                watches[b].append(k)
+                return
         out: list[int] = []
         seen = out  # a set instead once the clause is long
         top = self.num_vars

@@ -13,7 +13,11 @@ marks a hard clause. The 2022 `h`-prefixed format is rejected.
 Clauses are frozen, slotted dataclasses: no per-clause __dict__, so a large
 formula is smaller and every full garbage collection walks it faster. The
 parser converts each token of a clause line to int once and makes each
-clause without the frozen __init__.
+clause without the frozen __init__. A line of two or three distinct nonzero
+literals, the common case, takes a short branch that skips the general
+path's list, set and zero checks; it yields exactly the clause the general
+path would, and any other line, malformed ones included, goes the general
+way, so every error and its line number stay the same.
 
 Formulas are immutable after construction and safe to share across threads.
 """
@@ -125,6 +129,15 @@ def parse_wcnf(text) -> WcnfFormula:
     bare object whose slot is stored through the slot's descriptor. A line
     whose conversion fails is then looked at for a header, an 'h' marker
     or a clause before the header.
+
+    A 4- or 5-token line is first unpacked as weight, two or three
+    literals and a final token. When that final token is 0, the weight is
+    in 1..top (so a header has been read) and the literals are nonzero and
+    pairwise unequal, its lits are those literals as written, which is the
+    clause the general path makes of it (a tautology is kept as written
+    there too). Every other line, one whose int() fails included, takes the
+    general path, so each error and its line number are the general
+    path's.
     """
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -144,36 +157,55 @@ def parse_wcnf(text) -> WcnfFormula:
         toks = line.split()
         if not toks or toks[0][0] == "c":
             continue
-        try:
-            w, *body = map(int, toks)
-        except ValueError:
-            if toks[0] == "h":
-                raise WcnfParseError(
-                    line_no,
-                    "'h' marker is the 2022 WCNF format, which is not supported; "
-                    "use old-style WDIMACS with a 'p wcnf' header",
-                ) from None
-            if toks[0] == "p":
-                nvars, nclauses, top = _header(line_no, toks, top)
-                continue
-            if not top:
-                raise WcnfParseError(line_no, "clause before 'p wcnf' header") from None
-            raise WcnfParseError(line_no, "non-integer token in clause") from None
-        if not 0 < w <= top:
-            if not top:
-                raise WcnfParseError(line_no, "clause before 'p wcnf' header")
-            if w <= 0:
-                raise WcnfParseError(line_no, f"weight {w} must be positive")
-            raise WcnfParseError(line_no, f"weight {w} exceeds top {top}")
-        if not body or body.pop():
-            raise WcnfParseError(line_no, "clause missing terminating 0")
-        if len({*body}) < len(body):
-            body = dict.fromkeys(body)  # keeps each literal's first occurrence
-        lits = (*body,)
-        if 0 in lits:
-            raise WcnfParseError(line_no, "literal 0 mid-clause")
+        lits = ()
+        size = len(toks)
+        if size == 5:  # weight, three literals, 0
+            try:
+                w, a, b, c, z = map(int, toks)
+            except ValueError:
+                pass
+            else:
+                if not z and 0 < w <= top and a and b and c and a != b != c != a:
+                    lits = (a, b, c)
+        elif size == 4:  # weight, two literals, 0
+            try:
+                w, a, b, z = map(int, toks)
+            except ValueError:
+                pass
+            else:
+                if not z and 0 < w <= top and a and b and a != b:
+                    lits = (a, b)
         if not lits:
-            raise WcnfParseError(line_no, "empty clause")
+            try:
+                w, *body = map(int, toks)
+            except ValueError:
+                if toks[0] == "h":
+                    raise WcnfParseError(
+                        line_no,
+                        "'h' marker is the 2022 WCNF format, which is not supported; "
+                        "use old-style WDIMACS with a 'p wcnf' header",
+                    ) from None
+                if toks[0] == "p":
+                    nvars, nclauses, top = _header(line_no, toks, top)
+                    continue
+                if not top:
+                    raise WcnfParseError(line_no, "clause before 'p wcnf' header") from None
+                raise WcnfParseError(line_no, "non-integer token in clause") from None
+            if not 0 < w <= top:
+                if not top:
+                    raise WcnfParseError(line_no, "clause before 'p wcnf' header")
+                if w <= 0:
+                    raise WcnfParseError(line_no, f"weight {w} must be positive")
+                raise WcnfParseError(line_no, f"weight {w} exceeds top {top}")
+            if not body or body.pop():
+                raise WcnfParseError(line_no, "clause missing terminating 0")
+            if len({*body}) < len(body):
+                body = dict.fromkeys(body)  # keeps each literal's first occurrence
+            lits = (*body,)
+            if 0 in lits:
+                raise WcnfParseError(line_no, "literal 0 mid-clause")
+            if not lits:
+                raise WcnfParseError(line_no, "empty clause")
         clause = new(Clause)
         set_lits(clause, lits)
         if w == top:

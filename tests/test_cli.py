@@ -367,6 +367,20 @@ def test_encode_card_negative_bound_exit_one():
     assert_clean_error(run_cli("encode", "card", "--inputs", "3", "--bound", "-1"))
 
 
+def test_encode_card_rejects_max_bound():
+    # the cap is pb's: card refuses it before building anything, as pb
+    # enforces it
+    for max_bound in ("0", "5"):
+        r = run_cli("encode", "card", "--inputs", "3", "--bound", "1",
+                    "--max-bound", max_bound)
+        assert_clean_error(r)
+        assert r.stderr == "apxmaxsat: --max-bound applies to pb only\n"
+        assert r.stdout == ""
+    r = run_cli("encode", "pb", "--weights", "2,3", "--bound", "1", "--max-bound", "0")
+    assert_clean_error(r)
+    assert "bound 1 exceeds encoding cap 0" in r.stderr and r.stdout == ""
+
+
 # ----------------------------------------------------------------------
 # bench subcommand
 

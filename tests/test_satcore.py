@@ -3,6 +3,7 @@ import random
 import time
 from collections import Counter
 
+import numpy
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -208,6 +209,143 @@ def test_long_clause_is_added_in_linear_time():
     assert time.perf_counter() - started < 1.0
     assert s.arena == [20000, *lits, 20000, -1, *lits[1:]]
     assert s.num_vars == 20000
+
+
+def reference_add_clause(self, lits) -> None:
+    """SatSolver.add_clause as it was written before binary and ternary
+    clauses took a short branch: every clause goes through the general
+    path."""
+    self.clauses_added += 1
+    if not self.ok:
+        return
+    out: list[int] = []
+    seen = out  # a set instead once the clause is long
+    top = self.num_vars
+    for l in lits:
+        l = int(l)
+        if not -top <= l <= top:
+            self._ensure_var(abs(l))
+            top = self.num_vars
+        elif l == 0:
+            raise ValueError("0 is not a literal")
+        if l in seen:
+            continue
+        if -l in seen:
+            return  # tautology: always satisfied
+        out.append(l)
+        if len(out) >= satcore._SCAN_LIMIT:
+            if seen is out:
+                seen = set(out)
+            else:
+                seen.add(l)
+    if self.trail_lim:
+        self._backtrack(0)
+    value = self.value
+    for l in out:
+        if value[l]:
+            if 1 in [value[k] for k in out]:
+                return  # satisfied at level 0
+            out = [k for k in out if not value[k]]  # false ones stay false
+            break
+    if len(out) > 1:
+        self._attach(out)
+    elif out:
+        self._enqueue(out[0], None)
+        if self._propagate() is not None:
+            self.ok = False
+    else:
+        self.ok = False
+
+
+def short_clause(s, lits) -> bool:
+    """Whether lits is what the short branch takes, leaving out its rule that
+    no level is open: a list or tuple of two or three ints (type int exactly)
+    over distinct free variables in 1..num_vars, while the solver is ok."""
+    return (s.ok and type(lits) in (list, tuple) and len(lits) in (2, 3)
+            and all(type(l) is int for l in lits)
+            and len({abs(l) for l in lits}) == len(lits)
+            and all(1 <= abs(l) <= s.num_vars and s.value[l] == 0 for l in lits))
+
+
+def short_clause_stream(rng, steps, n):
+    """A seeded stream of add_clause arguments over variables 1..n, one for
+    each of two solvers (equal, or two generators of the same literals), with
+    an int now and then for a solve call of that many conflicts; last, an
+    empty clause and clauses added after it."""
+    for _ in range(steps):
+        r = rng.random()
+        if r < 0.06:
+            yield rng.choice((1, 20))
+            continue
+        lits = [rng.choice((1, -1)) * rng.randint(1, n)
+                for _ in range(rng.choice((2, 3, 3, 3)))]
+        if r < 0.45:
+            yield lits, lits
+        elif r < 0.7:
+            yield tuple(lits), tuple(lits)
+        elif r < 0.73:
+            yield (l for l in lits), (l for l in lits)
+        else:
+            new = rng.choice((1, -1)) * rng.randint(n + 1, n + 4)  # a new variable
+            lits = rng.choice([
+                [True, lits[0]],
+                [numpy.int64(lits[0]), lits[1]],
+                [2.0, lits[0]],
+                (lits[0], 0),
+                [lits[0], new],
+                (lits[0], lits[1], new),
+                [lits[0], lits[1], lits[0]],
+                (lits[0], -lits[0], lits[1]),
+                [lits[0]],
+                lits + [rng.randint(1, n) for _ in range(3)],
+            ])
+            yield lits, lits
+    yield [], []
+    for _ in range(5):
+        lits = [rng.randint(1, n), -rng.randint(1, n)]
+        yield lits, lits
+        yield 20
+
+
+def test_short_clauses_attach_as_the_general_path_does():
+    # variables 41..50 are non-decision ones, so a SAT answer can leave some
+    # of them free; after each solve call that leaves levels open, a clause
+    # over free variables comes first, which only the open levels keep off
+    # the short branch
+    counts = Counter()
+    for seed in range(20):
+        rng = random.Random(seed)
+        ours, ref = SatSolver(40, seed=seed), SatSolver(40, seed=seed)
+        for s in (ours, ref):
+            for _ in range(10):
+                s.new_var(decision=False)
+        for args in short_clause_stream(rng, 300, 50):
+            if type(args) is int:
+                got = ours.solve(budget=Budget(max_conflicts=args))
+                assert got == ref.solve(budget=Budget(max_conflicts=args))
+                free = [v for v in range(1, ours.num_vars + 1) if not ours.value[v]]
+                if got[0] is not Status.SAT or len(free) < 2:
+                    continue
+                counts["after SAT"] += 1
+                lits = [rng.choice((1, -1)) * v
+                        for v in rng.sample(free, min(len(free), rng.choice((2, 3))))]
+                args = (lits, lits)
+            if short_clause(ours, args[0]):
+                counts["short" if not ours.trail_lim else "level open"] += 1
+            errors = []
+            for s, add, lits in ((ours, SatSolver.add_clause, args[0]),
+                                 (ref, reference_add_clause, args[1])):
+                try:
+                    add(s, lits)
+                    errors.append(None)
+                except ValueError as e:
+                    errors.append(str(e))
+            assert errors[0] == errors[1]
+            for name in ("arena", "watches", "value", "trail", "trail_lim", "ok",
+                         "num_vars", "clauses_added", "level", "reason"):
+                assert getattr(ours, name) == getattr(ref, name), (seed, name, args)
+        assert not ours.ok
+    assert counts["short"] >= 100 and counts["level open"] >= 10, counts
 
 
 def test_model_total_over_isolated_vars():

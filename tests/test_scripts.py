@@ -178,3 +178,41 @@ def test_search_diff_rejects_bad_arguments_before_running(tmp_path, argv):
     r = run_script("search_diff.py", *[a.format(tmp=tmp_path, root=ROOT) for a in argv])
     assert r.returncode == 2 and "Traceback" not in r.stderr
     assert "error:" in r.stderr and r.stdout == ""
+
+
+def test_solve_ab_finds_no_difference_against_the_same_checkout():
+    r = run_script("solve_ab.py", "--root", str(ROOT), "--workload", "fidelity-sweep",
+                   "--seed", "1")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "fidelity-sweep seed 1: 54 pairs, 0 differ, 0 ran out of the wall limit"
+    assert lines[1].split() == ["side", "median_s", "total_s", "first_o_median_s", "won"]
+    assert [line.split()[0] for line in lines[2:4]] == ["this", "root"]
+    assert sum(int(line.split()[4]) for line in lines[2:4]) <= 54
+    assert lines[4].startswith("median this/root time ratio ")
+    assert r.stderr == ""
+
+
+def test_solve_ab_exits_one_when_a_pair_differs(tmp_path):
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other / "src")
+    search_py = other / "src" / "apxmaxsat" / "search.py"
+    text = search_py.read_text()
+    assert text.count("report.solver_stats = dict(solver.stats)") == 1
+    search_py.write_text(text.replace("report.solver_stats = dict(solver.stats)",
+                                      "report.solver_stats = dict(solver.stats, moved=1)"))
+    r = run_script("solve_ab.py", "--root", str(other), "--workload", "wide-weights-cli",
+                   "--seed", "1")
+    assert r.returncode == 1
+    assert r.stdout.splitlines()[0] == (
+        "wide-weights-cli seed 1: 7 pairs, 7 differ, 0 ran out of the wall limit")
+    assert len(r.stderr.splitlines()) == 7
+    assert all(line.endswith(": solver_stats") for line in r.stderr.splitlines())
+
+
+@pytest.mark.parametrize("argv", [["--root", "{tmp}"], ["--root", "{root}", "--rounds", "0"]])
+def test_solve_ab_rejects_bad_arguments_before_running(tmp_path, argv):
+    argv = [a.format(tmp=tmp_path, root=ROOT) for a in argv]
+    r = run_script("solve_ab.py", *argv, "--workload", "planted-large", "--seed", "1")
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert "error:" in r.stderr and r.stdout == ""

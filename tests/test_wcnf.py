@@ -53,11 +53,25 @@ def test_parse_weight_above_top_rejected():
     ("", "missing 'p wcnf' header"),
     ("c only comments\n", "missing 'p wcnf' header"),
     ("p wcnf 1 1 5\np wcnf 1 1 5\n", "duplicate"),
+    # two- and three-literal lines, which the reader takes on a short branch
+    # when they hold a clause
+    ("p wcnf 2 1 5\n5 1 0 0\n", "literal 0 mid-clause"),
+    ("p wcnf 4 1 5\n5 1 2 3 4\n", "terminating 0"),
+    ("p wcnf 3 1 5\n5 1 2 3\n", "terminating 0"),
+    ("p wcnf 3 1 5\n5 1 x 3 0\n", "non-integer"),
+    ("p wcnf 3 1 5\n0 1 2 3 0\n", "weight 0 must be positive"),
+    ("p wcnf 2 1 5\n-0 1 2 0\n", "weight 0 must be positive"),
+    ("p wcnf 3 1 5\n99 1 2 3 0\n", "weight 99 exceeds top 5"),
+    ("5 1 2 3 0\np wcnf 3 1 5\n", "before"),
+    ("5 1 2 0\np wcnf 3 1 5\n", "before"),
+    ("p wcnf 3 2 5\n5 1 2 3 0\np wcnf 3 2 5\n5 1 2 0\n", "duplicate"),
+    ("p wcnf 3 1 5\nh 1 2 3 0\n", "2022"),
 ])
 def test_parse_errors(text, frag):
     with pytest.raises(WcnfParseError) as ei:
         parse_wcnf(text)
     assert frag in str(ei.value)
+    assert _outcome(parse_wcnf, text) == _outcome(reference_parse_wcnf, text)
 
 
 def test_parse_rejects_2022_format():
@@ -143,6 +157,12 @@ ACCEPTED = [
     ("bytes with crlf",
      b"p wcnf 2 2 9\r\n9 -1 -2 0\r\n5 2 0\r\n",
      (2, [(-1, -2)], [((2,), 5)], [])),
+    ("two- and three-literal lines: a duplicate drops, a tautology stays",
+     "p wcnf 3 4 9\n5 1 1 2 0\n5 1 -1 2 0\n9 -1 2 -3 0\n3 2 -2 0\n",
+     (3, [(-1, 2, -3)], [((1, 2), 5), ((1, -1, 2), 5), ((2, -2), 3)], [])),
+    ("two- and three-literal lines with tabs and crlf",
+     "p wcnf 4 3 9\r\n9\t1\t-2\t3\t0\r\n\t4\t-3\t2\t0\t\r\n2 \t-4  1\t0 \r\n",
+     (4, [(1, -2, 3)], [((-3, 2), 4), ((-4, 1), 2)], [])),
 ]
 
 
@@ -152,6 +172,7 @@ def test_parse_accepted_inputs_exactly(text, expected):
     f = parse_wcnf(text)
     assert (f.num_vars, [c.lits for c in f.hard],
             [(c.lits, w) for c, w in f.soft], f.warnings) == expected
+    assert _outcome(parse_wcnf, text) == _outcome(reference_parse_wcnf, text)
 
 
 # ----------------------------------------------------------------------
