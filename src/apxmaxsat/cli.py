@@ -137,6 +137,15 @@ def _print_v_line(assignment: dict[int, bool], num_vars: int) -> None:
     print("v " + " ".join(lits), flush=True)
 
 
+def _on_stop(handler) -> None:
+    """Set handler for SIGTERM and SIGINT."""
+    try:
+        signal.signal(signal.SIGTERM, handler)
+        signal.signal(signal.SIGINT, handler)
+    except ValueError:
+        pass  # not on the main thread; cooperative stop stays unused
+
+
 def _cmd_solve(args) -> int:
     stop_flag = threading.Event()
     try:
@@ -153,11 +162,7 @@ def _cmd_solve(args) -> int:
 
     # installed before parsing, so a stop during parsing still ends with an
     # `s` line: the search sees the flag before it loads the solver
-    try:
-        signal.signal(signal.SIGTERM, _handler)
-        signal.signal(signal.SIGINT, _handler)
-    except ValueError:
-        pass  # not on the main thread; cooperative stop stays unused
+    _on_stop(_handler)
     f = _load_instance(args.instance)
     if f is None:
         return EXIT_ERROR
@@ -173,6 +178,10 @@ def _cmd_solve(args) -> int:
             print(f"c approx cost {model.approx_cost}", flush=True)
 
     report = search.solve(f, cfg, on_improve)
+    # the answer is in: ignore stops from here on. CPython resets a Python
+    # handler to SIG_DFL while the interpreter shuts down, so a late SIGTERM
+    # would kill the process after its `s` line; SIG_IGN it leaves in place
+    _on_stop(signal.SIG_IGN)
     if args.verbosity >= 1:
         if report.warm is not None:
             k, first, last = report.warm

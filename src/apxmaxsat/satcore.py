@@ -33,13 +33,13 @@ scan for a new watch. Most clauses the encoders and the relaxation make
 have two or three literals.
 
 add_clause branches on size for the same reason. The general path
-converts each literal with int(), checks its range, scans for duplicates
-and tautologies, backtracks to level 0 and drops literals fixed there; a
-list or tuple of two or three ints over distinct free variables in range,
-added while no level is open, needs none of that and goes straight to the
-arena and its two watch lists. It is the clause, arena layout and watch
-order the general path would make: the branch only skips checks whose
-outcome is known.
+converts each literal with int(), checks its range, looks duplicates and
+tautologies up in a set, backtracks to level 0 and drops literals fixed
+there; a list or tuple of two or three ints over distinct free variables
+in range, added while no level is open, needs none of that and goes
+straight to the arena and its two watch lists. It is the clause, arena
+layout and watch order the general path would make: the branch only skips
+checks whose outcome is known.
 
 A solve call may take assumptions (MiniSat style): literals that hold for
 that call only. Assumption i is decided at level i+1 before any branching;
@@ -130,7 +130,6 @@ from heapq import heappop, heappush
 
 _RESCALE_LIMIT = 1e100
 _RANDOM_DECISION_FREQ = 0.02
-_SCAN_LIMIT = 32  # add_clause scans a list this short faster than it hashes
 _HOT_SHARE = 4  # rebuild the order once the hot heap holds a quarter of it
 _HOT_SLACK = 64
 _UNORDERED = 1 << 62  # order position of a non-decision variable
@@ -321,7 +320,7 @@ class SatSolver:
                 watches[b].append(k)
                 return
         out: list[int] = []
-        seen = out  # a set instead once the clause is long
+        seen: set[int] = set()
         top = self.num_vars
         for l in lits:
             l = int(l)
@@ -335,11 +334,7 @@ class SatSolver:
             if -l in seen:
                 return  # tautology: always satisfied
             out.append(l)
-            if len(out) >= _SCAN_LIMIT:
-                if seen is out:
-                    seen = set(out)
-                else:
-                    seen.add(l)
+            seen.add(l)
         if self.trail_lim:
             self._backtrack(0)
         value = self.value

@@ -13,7 +13,7 @@ marks a hard clause. The 2022 `h`-prefixed format is rejected.
 Clauses are frozen, slotted dataclasses: no per-clause __dict__, so a large
 formula is smaller and every full garbage collection walks it faster. The
 parser converts each token of a clause line to int once and makes each
-clause without the frozen __init__. A line of two or three distinct nonzero
+clause without the frozen __init__. A line of three distinct nonzero
 literals, the common case, takes a short branch that skips the general
 path's list, set and zero checks; it yields exactly the clause the general
 path would, and any other line, malformed ones included, goes the general
@@ -130,12 +130,12 @@ def parse_wcnf(text) -> WcnfFormula:
     whose conversion fails is then looked at for a header, an 'h' marker
     or a clause before the header.
 
-    A 4- or 5-token line is first unpacked as weight, two or three
-    literals and a final token. When that final token is 0, the weight is
-    in 1..top (so a header has been read) and the literals are nonzero and
-    pairwise unequal, its lits are those literals as written, which is the
-    clause the general path makes of it (a tautology is kept as written
-    there too). Every other line, one whose int() fails included, takes the
+    A 5-token line is first unpacked as weight, three literals and a
+    final token. When that final token is 0, the weight is in 1..top (so a
+    header has been read) and the literals are nonzero and pairwise
+    unequal, its lits are those literals as written, which is the clause
+    the general path makes of it (a tautology is kept as written there
+    too). Every other line, one whose int() fails included, takes the
     general path, so each error and its line number are the general
     path's.
     """
@@ -158,8 +158,7 @@ def parse_wcnf(text) -> WcnfFormula:
         if not toks or toks[0][0] == "c":
             continue
         lits = ()
-        size = len(toks)
-        if size == 5:  # weight, three literals, 0
+        if len(toks) == 5:  # weight, three literals, 0
             try:
                 w, a, b, c, z = map(int, toks)
             except ValueError:
@@ -167,14 +166,6 @@ def parse_wcnf(text) -> WcnfFormula:
             else:
                 if not z and 0 < w <= top and a and b and c and a != b != c != a:
                     lits = (a, b, c)
-        elif size == 4:  # weight, two literals, 0
-            try:
-                w, a, b, z = map(int, toks)
-            except ValueError:
-                pass
-            else:
-                if not z and 0 < w <= top and a and b and a != b:
-                    lits = (a, b)
         if not lits:
             try:
                 w, *body = map(int, toks)

@@ -480,6 +480,20 @@ def test_sigterm_during_parsing_reports_unknown(e1_path):
     assert r.stdout.splitlines() == ["s UNKNOWN"]
 
 
+def test_solve_ignores_stops_once_the_search_returns(e1_path, capsys):
+    # a handler left in place is reset to SIG_DFL at interpreter shutdown,
+    # where a late SIGTERM would kill the process after its `s` line
+    saved = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)}
+    try:
+        assert cli.main(["solve", e1_path]) == 10
+        assert s_lines(capsys.readouterr().out) == ["s SATISFIABLE"]
+        assert {sig: signal.getsignal(sig) for sig in saved} == dict.fromkeys(
+            saved, signal.SIG_IGN)
+    finally:
+        for sig, handler in saved.items():
+            signal.signal(sig, handler)
+
+
 def test_sigterm_dumps_best_model(tmp_path):
     rng = seeded_rng(404)
     # a slow minimization: hard random 3-CNF plus conflicting soft units

@@ -233,7 +233,7 @@ def reference_add_clause(self, lits) -> None:
         if -l in seen:
             return  # tautology: always satisfied
         out.append(l)
-        if len(out) >= satcore._SCAN_LIMIT:
+        if len(out) >= 32:
             if seen is out:
                 seen = set(out)
             else:

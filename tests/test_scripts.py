@@ -135,84 +135,93 @@ def test_bench_snapshot_refuses_a_run_without_a_result_line(tmp_path, code):
     assert not out.exists()
 
 
+E1 = "p wcnf 2 3 10\n10 1 2 0\n3 -1 0\n2 -2 0\n"
+
+
+def assert_timing_table(lines, pairs):
+    assert lines[0].split() == ["side", "median_s", "total_s", "first_o_median_s", "won"]
+    assert [line.split()[0] for line in lines[1:3]] == ["this", "root"]
+    assert sum(int(line.split()[4]) for line in lines[1:3]) <= pairs
+    assert lines[3].startswith("median this/root time ratio ")
+    assert len(lines) == 4
+
+
 def test_search_diff_finds_no_difference_against_the_same_checkout(tmp_path):
-    (tmp_path / "e1.wcnf").write_text("p wcnf 2 3 10\n10 1 2 0\n3 -1 0\n2 -2 0\n")
+    (tmp_path / "e1.wcnf").write_text(E1)
     r = run_script("search_diff.py", "--root", str(ROOT), "--seeds", "1",
                    "--dir", str(tmp_path))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines() == [
-        "5 instances, 45 reports: 0 differ",
+    lines = r.stdout.splitlines()
+    assert lines[:2] == [
+        "5 instances, 45 reports: 0 differ, 0 ran out of the wall limit",
         "status=0 bounds=0 exact=0 clusters=0 fallbacks=0 cost=0 trace_costs=0"
         " solver_stats=0 encoders=0 warm=0"]
+    assert_timing_table(lines[2:], 45)
     assert r.stderr == ""
+    r = run_script("search_diff.py", "--root", str(ROOT), "--seeds", "0",
+                   "--workload", "fidelity-sweep", "--seed", "1")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "6 instances, 54 reports: 0 differ, 0 ran out of the wall limit"
+    assert_timing_table(lines[2:], 54)
+    assert r.stderr == ""
+
+
+def copy_with(tmp_path, old, new):
+    """A copy of this checkout's src/ whose search.py has old replaced by new."""
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other / "src")
+    search_py = other / "src" / "apxmaxsat" / "search.py"
+    text = search_py.read_text()
+    assert text.count(old) == 1
+    search_py.write_text(text.replace(old, new))
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "e1.wcnf").write_text(E1)
+    return ["--root", str(other), "--seeds", "0", "--dir", str(suite)]
 
 
 def test_search_diff_answers_ignores_the_search_path(tmp_path):
     # a checkout whose reports differ from this one's in solver stats alone
-    other = tmp_path / "other"
-    shutil.copytree(ROOT / "src", other / "src")
-    search_py = other / "src" / "apxmaxsat" / "search.py"
-    text = search_py.read_text()
-    assert text.count("report.solver_stats = dict(solver.stats)") == 1
-    search_py.write_text(text.replace("report.solver_stats = dict(solver.stats)",
-                                      "report.solver_stats = dict(solver.stats, moved=1)"))
-    suite = tmp_path / "suite"
-    suite.mkdir()
-    (suite / "e1.wcnf").write_text("p wcnf 2 3 10\n10 1 2 0\n3 -1 0\n2 -2 0\n")
-    argv = ["--root", str(other), "--seeds", "0", "--dir", str(suite)]
+    argv = copy_with(tmp_path, "report.solver_stats = dict(solver.stats)",
+                     "report.solver_stats = dict(solver.stats, moved=1)")
     r = run_script("search_diff.py", *argv)
     assert r.returncode == 1
-    assert r.stdout.splitlines()[0] == "1 instances, 9 reports: 9 differ"
+    assert r.stdout.splitlines()[0] == (
+        "1 instances, 9 reports: 9 differ, 0 ran out of the wall limit")
     assert r.stdout.splitlines()[1].endswith(
         " trace_costs=0 solver_stats=9 encoders=0 warm=0")
+    argv += ["--workload", "wide-weights-cli", "--seed", "1"]
+    r = run_script("search_diff.py", *argv)
+    assert r.returncode == 1
+    assert r.stdout.splitlines()[0] == (
+        "7 instances, 16 reports: 16 differ, 0 ran out of the wall limit")
+    assert len(r.stderr.splitlines()) == 16
+    assert all(line.endswith(": solver_stats") for line in r.stderr.splitlines())
     r = run_script("search_diff.py", *argv, "--answers")
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines() == [
-        "1 instances, 9 reports: 0 differ",
+    assert r.stdout.splitlines()[:2] == [
+        "7 instances, 16 reports: 0 differ, 0 ran out of the wall limit",
         "status=0 bounds=0 exact=0 clusters=0 fallbacks=0 cost=0"]
 
 
+def test_search_diff_names_the_side_whose_search_raises(tmp_path):
+    argv = copy_with(tmp_path, '    """Run the configured strategy as one linear Sat-Unsat search.\n',
+                     '    raise RuntimeError("broken search")\n'
+                     '    """Run the configured strategy as one linear Sat-Unsat search.\n')
+    r = run_script("search_diff.py", *argv)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith(f"error: the search in {tmp_path / 'other'} failed on "
+                               "e1.wcnf apx-weight/m=0:\n")
+    assert r.stderr.rstrip().endswith("RuntimeError: broken search")
+
+
 @pytest.mark.parametrize("argv", [["--root", "{tmp}"], ["--root", "{root}", "--seeds", "-1"],
-                                  ["--root", "{root}", "--dir", "{tmp}/missing"]])
+                                  ["--root", "{root}", "--dir", "{tmp}/missing"],
+                                  ["--root", "{root}", "--workload", "planted-large",
+                                   "--rounds", "0"],
+                                  ["--root", "{root}", "--workload", "planted"]])
 def test_search_diff_rejects_bad_arguments_before_running(tmp_path, argv):
     r = run_script("search_diff.py", *[a.format(tmp=tmp_path, root=ROOT) for a in argv])
-    assert r.returncode == 2 and "Traceback" not in r.stderr
-    assert "error:" in r.stderr and r.stdout == ""
-
-
-def test_solve_ab_finds_no_difference_against_the_same_checkout():
-    r = run_script("solve_ab.py", "--root", str(ROOT), "--workload", "fidelity-sweep",
-                   "--seed", "1")
-    assert r.returncode == 0, r.stderr
-    lines = r.stdout.splitlines()
-    assert lines[0] == "fidelity-sweep seed 1: 54 pairs, 0 differ, 0 ran out of the wall limit"
-    assert lines[1].split() == ["side", "median_s", "total_s", "first_o_median_s", "won"]
-    assert [line.split()[0] for line in lines[2:4]] == ["this", "root"]
-    assert sum(int(line.split()[4]) for line in lines[2:4]) <= 54
-    assert lines[4].startswith("median this/root time ratio ")
-    assert r.stderr == ""
-
-
-def test_solve_ab_exits_one_when_a_pair_differs(tmp_path):
-    other = tmp_path / "other"
-    shutil.copytree(ROOT / "src", other / "src")
-    search_py = other / "src" / "apxmaxsat" / "search.py"
-    text = search_py.read_text()
-    assert text.count("report.solver_stats = dict(solver.stats)") == 1
-    search_py.write_text(text.replace("report.solver_stats = dict(solver.stats)",
-                                      "report.solver_stats = dict(solver.stats, moved=1)"))
-    r = run_script("solve_ab.py", "--root", str(other), "--workload", "wide-weights-cli",
-                   "--seed", "1")
-    assert r.returncode == 1
-    assert r.stdout.splitlines()[0] == (
-        "wide-weights-cli seed 1: 7 pairs, 7 differ, 0 ran out of the wall limit")
-    assert len(r.stderr.splitlines()) == 7
-    assert all(line.endswith(": solver_stats") for line in r.stderr.splitlines())
-
-
-@pytest.mark.parametrize("argv", [["--root", "{tmp}"], ["--root", "{root}", "--rounds", "0"]])
-def test_solve_ab_rejects_bad_arguments_before_running(tmp_path, argv):
-    argv = [a.format(tmp=tmp_path, root=ROOT) for a in argv]
-    r = run_script("solve_ab.py", *argv, "--workload", "planted-large", "--seed", "1")
     assert r.returncode == 2 and "Traceback" not in r.stderr
     assert "error:" in r.stderr and r.stdout == ""
