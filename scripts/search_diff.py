@@ -48,8 +48,6 @@ from apxmaxsat import search, wcnf  # noqa: E402
 ALIAS = "ab_other"
 ANSWERS = ("status", "bounds", "exact", "clusters", "fallbacks", "cost")
 FIELDS = ANSWERS + ("trace_costs", "solver_stats", "encoders", "warm")
-CONFIGS = ([(search.APX_WEIGHT, m) for m in (0, 1, 2, 3, "weights")]
-           + [(search.APX_SUBPROB, m) for m in (1, 2, 3, "weights")])
 
 
 def parse_args(argv):
@@ -108,7 +106,8 @@ def solves(args) -> tuple[int, list[tuple[str, str, dict]]]:
         named += [(p.name, p.read_text()) for p in sorted(args.dir.glob("*.wcnf"))]
     out = [(f"{name} {algorithm}/m={m}", text,
             {"algorithm": algorithm, "clusters": m, "max_conflicts": 2000, "seed": i})
-           for i, (name, text) in enumerate(named) for algorithm, m in CONFIGS]
+           for i, (name, text) in enumerate(named)
+           for algorithm, m in workloads.FIDELITY_CONFIGS]  # the paper's nine
     count = len(named)
     for b in range(args.rounds if args.workload else 0):
         batch = workloads.make_batch(args.workload, args.seed, b)
