@@ -158,6 +158,9 @@ def test_search_diff_finds_no_difference_against_the_same_checkout(tmp_path):
         " solver_stats=0 encoders=0 warm=0"]
     assert_timing_table(lines[2:], 45)
     assert r.stderr == ""
+
+
+def test_search_diff_finds_no_difference_on_a_workload_against_the_same_checkout():
     r = run_script("search_diff.py", "--root", str(ROOT), "--seeds", "0",
                    "--workload", "fidelity-sweep", "--seed", "1")
     assert r.returncode == 0, r.stderr
@@ -181,10 +184,24 @@ def copy_with(tmp_path, old, new):
     return ["--root", str(other), "--seeds", "0", "--dir", str(suite)]
 
 
-def test_search_diff_answers_ignores_the_search_path(tmp_path):
-    # a checkout whose reports differ from this one's in solver stats alone
-    argv = copy_with(tmp_path, "report.solver_stats = dict(solver.stats)",
+def moved_solver_stats(tmp_path):
+    """A checkout whose reports differ from this one's in solver stats alone."""
+    return copy_with(tmp_path, "report.solver_stats = dict(solver.stats)",
                      "report.solver_stats = dict(solver.stats, moved=1)")
+
+
+def test_search_diff_exits_one_when_a_workload_pair_differs(tmp_path):
+    argv = moved_solver_stats(tmp_path) + ["--workload", "wide-weights-cli", "--seed", "1"]
+    r = run_script("search_diff.py", *argv)
+    assert r.returncode == 1
+    assert r.stdout.splitlines()[0] == (
+        "7 instances, 16 reports: 16 differ, 0 ran out of the wall limit")
+    assert len(r.stderr.splitlines()) == 16
+    assert all(line.endswith(": solver_stats") for line in r.stderr.splitlines())
+
+
+def test_search_diff_answers_ignores_the_search_path(tmp_path):
+    argv = moved_solver_stats(tmp_path)
     r = run_script("search_diff.py", *argv)
     assert r.returncode == 1
     assert r.stdout.splitlines()[0] == (
@@ -192,12 +209,6 @@ def test_search_diff_answers_ignores_the_search_path(tmp_path):
     assert r.stdout.splitlines()[1].endswith(
         " trace_costs=0 solver_stats=9 encoders=0 warm=0")
     argv += ["--workload", "wide-weights-cli", "--seed", "1"]
-    r = run_script("search_diff.py", *argv)
-    assert r.returncode == 1
-    assert r.stdout.splitlines()[0] == (
-        "7 instances, 16 reports: 16 differ, 0 ran out of the wall limit")
-    assert len(r.stderr.splitlines()) == 16
-    assert all(line.endswith(": solver_stats") for line in r.stderr.splitlines())
     r = run_script("search_diff.py", *argv, "--answers")
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[:2] == [
@@ -220,7 +231,9 @@ def test_search_diff_names_the_side_whose_search_raises(tmp_path):
                                   ["--root", "{root}", "--dir", "{tmp}/missing"],
                                   ["--root", "{root}", "--workload", "planted-large",
                                    "--rounds", "0"],
-                                  ["--root", "{root}", "--workload", "planted"]])
+                                  ["--root", "{root}", "--workload", "planted"],
+                                  ["--root", "{tmp}", "--workload", "planted-large",
+                                   "--seed", "1"]])
 def test_search_diff_rejects_bad_arguments_before_running(tmp_path, argv):
     r = run_script("search_diff.py", *[a.format(tmp=tmp_path, root=ROOT) for a in argv])
     assert r.returncode == 2 and "Traceback" not in r.stderr
