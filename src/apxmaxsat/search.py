@@ -2,14 +2,17 @@
 
 Both strategies run one linear Sat-Unsat search over the relaxed formula,
 with one incremental solver for the whole run. The search walks a list of
-objectives, each a weighted sum of relaxation variables:
+objectives, each a weighted sum of objective literals, one per soft clause
+and true when it is violated: a soft unit (l) is counted through -l, as in
+RC2 (Ignatiev, Morgado and Marques-Silva, JSAT 2019), and adds nothing to
+the solver (see wcnf.relax for the units that share a variable):
 
-* apx-weight has one objective, the relaxation variables under the
+* apx-weight has one objective, the objective literals under the
   clustered weight map. On the true weights (m=0, or m >= #distinct
   weights) the final model is a true optimum, reported as exact.
 
 * apx-subprob has one unit-weight objective per cluster, heaviest cluster
-  first: the count of true relaxation variables is minimized cluster by
+  first: the count of true objective literals is minimized cluster by
   cluster. Optimal when the weights are multilevel-dominant (see
   clustering.is_bmo) and m is #distinct weights, yet never reported exact:
   its final UNSAT proves only a lexicographic minimum.
@@ -20,7 +23,7 @@ which the encoding enforces as it is built. For apx-subprob's unit weights
 this is the Totalizer counter capped at the cluster's first count. The
 solver branches only on the original and relaxation variables: the
 encoder's variables are non-decision variables (see satcore and
-encodings), which propagation alone sets from the relaxation variables, so
+encodings), which propagation alone sets from the objective literals, so
 a model's objective value reads the same whether or not one was left
 unset. SearchReport.encoders records each build: its inputs, the clauses
 and variables it made, and whether the cap refused it. The search sizes an
@@ -218,6 +221,11 @@ def check_hard(f: wcnf.WcnfFormula, timeout_s: float | None = None,
     return solver.solve(budget=Budget(timeout_s, max_conflicts))
 
 
+def holds(model: dict[int, bool], lit: int) -> bool:
+    """Whether lit is true in a solver model."""
+    return model[abs(lit)] == (lit > 0)
+
+
 def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchReport:
     """Run the configured strategy as one linear Sat-Unsat search.
 
@@ -231,11 +239,11 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
     weighted = cfg.algorithm == APX_WEIGHT
     m = resolve_clusters(f, cfg.clusters)
     part, scheme = clustering.partition(f, m)
-    relax_of = wcnf.relax(f)
+    lits = wcnf.relax(f)
     if weighted:
-        objectives = [list(zip(relax_of, scheme.weight_m))]
+        objectives = [list(zip(lits, scheme.weight_m))]
     else:  # clusters ascend in weight, so their representatives do too
-        objectives = [[(relax_of[i], 1) for i in cluster]
+        objectives = [[(lits[i], 1) for i in cluster]
                       for cluster in reversed(part.clusters)]
     report = SearchReport(None, UNKNOWN, bounds=[None] * len(objectives))
     budget = Budget(cfg.timeout_s, cfg.max_conflicts, cfg.stop)
@@ -266,11 +274,12 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
 
     if budget.exhausted():
         return finish(UNKNOWN)
-    solver = SatSolver(f.num_vars + len(relax_of), seed=cfg.seed)
+    solver = SatSolver(max((f.num_vars, *lits)), seed=cfg.seed)
     for clause in f.hard:
         solver.add_clause(clause.lits)
-    for (clause, _), r in zip(f.soft, relax_of):
-        solver.add_clause(clause.lits + (r,))
+    for (clause, _), r in zip(f.soft, lits):
+        if r > f.num_vars:  # a relaxation variable, not a soft unit's own literal
+            solver.add_clause(clause.lits + (r,))
     st, model = solver.solve(budget=budget)
     if st is Status.UNSAT:
         return finish(UNSATISFIABLE)
@@ -317,7 +326,7 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                 return st, c
             model = found
             offer(model)
-            c = sum(w for r, w in items if model[r])
+            c = sum(w for lit, w in items if holds(model, lit))
         return Status.UNSAT, 0
 
     def warm_up(items, k) -> bool:
@@ -326,8 +335,8 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
         guarded by a fresh literal assumed beside each step's selector and
         retired by its negated unit afterwards. False when the budget ran
         out in its descent; a floored encoding over the cap is skipped."""
-        floored = [(r, w >> k) for r, w in items if w >> k]
-        first = sum(w for r, w in floored if model[r])
+        floored = [(lit, w >> k) for lit, w in items if w >> k]
+        first = sum(w for lit, w in floored if holds(model, lit))
         if not first:
             report.warm = (k, 0, 0)
             return True
@@ -347,7 +356,7 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
 
     try:
         for j, items in enumerate(objectives):
-            c = sum(w for r, w in items if model[r])
+            c = sum(w for lit, w in items if holds(model, lit))
             warmed = False  # the floored stage runs once, before the exact build
             enc = None
             while c and enc is None:
@@ -364,11 +373,11 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
                     m = refused // 2
                     report.fallbacks.append((refused, m))
                     part, scheme = clustering.partition(f, m)
-                    items = list(zip(relax_of, scheme.weight_m))
+                    items = list(zip(lits, scheme.weight_m))
                     # a new Model: the one on_improve was given keeps its price
                     report.best = replace(report.best, approx_cost=wcnf.cost(
                         f, report.best.assignment, weights=scheme.weight_m))
-                    c = sum(w for r, w in items if model[r])
+                    c = sum(w for lit, w in items if holds(model, lit))
                     continue
                 if (not warmed and weighted and scheme.weight_m == scheme.weight
                         and plan.charge > WARM_CHARGE
@@ -384,8 +393,8 @@ def solve(f: wcnf.WcnfFormula, cfg: SearchConfig, on_improve=None) -> SearchRepo
             if st is Status.UNKNOWN:
                 return finish(SATISFIABLE)
             if not c:
-                for r, _ in items:
-                    solver.add_clause([-r])
+                for lit, _ in items:
+                    solver.add_clause([-lit])
     except EncodingInterrupted:
         return finish(SATISFIABLE)  # best holds the first model at least
     # after a fallback the minimum proven is that of coarser clusters than

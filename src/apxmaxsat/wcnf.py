@@ -25,7 +25,7 @@ Formulas are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from itertools import chain
+from itertools import chain, count
 
 
 class WcnfParseError(ValueError):
@@ -247,13 +247,23 @@ def serialize_wcnf(f: WcnfFormula) -> str:
 
 
 def relax(f: WcnfFormula) -> tuple[int, ...]:
-    """Relaxation variables, one fresh variable per soft clause.
-
-    Soft clause i is relaxed by num_vars+1+i, so the relaxed formula has
-    num_vars + len(soft) variables and soft clause i becomes
-    clause.lits + (relax(f)[i],).
-    """
-    return tuple(range(f.num_vars + 1, f.num_vars + 1 + len(f.soft)))
+    """Objective literals, one per soft clause, each true in every model of
+    the relaxed formula that violates its clause. The first soft unit (l) on
+    a variable has -l and adds no variable or clause. Every other soft
+    clause, a later soft unit on that variable included, (l) or (-l), has a
+    fresh relaxation variable r, numbered from num_vars+1 in soft order, and
+    becomes clause.lits + (r,) in the relaxed formula."""
+    taken = set()
+    fresh = count(f.num_vars + 1)
+    out = []
+    for clause, _ in f.soft:
+        lit, *rest = clause.lits
+        if rest or abs(lit) in taken:
+            out.append(next(fresh))
+        else:
+            taken.add(abs(lit))
+            out.append(-lit)
+    return tuple(out)
 
 
 def _require_total(f: WcnfFormula, assignment) -> None:

@@ -142,8 +142,8 @@ def test_apx_subprob_counter_is_unit_gte_capped_at_first_count(monkeypatch):
         "10 2 0\n10 -2 0\n10 5 0\n1 3 0\n1 -3 0\n1 4 0\n1 -4 0\n")
     part, _ = clustering.partition(f, clustering.distinct_weight_count(f))
     assert len(part.clusters) == 3 and clustering.is_bmo(f, part)
-    relax_of = wcnf.relax(f)
-    cluster_of = {frozenset(relax_of[i] for i in members): ci
+    lits = wcnf.relax(f)
+    cluster_of = {frozenset(lits[i] for i in members): ci
                   for ci, members in enumerate(part.clusters)}
     models = []
     built = []
@@ -159,8 +159,8 @@ def test_apx_subprob_counter_is_unit_gte_capped_at_first_count(monkeypatch):
 
     def spy(items, max_bound, sink, **kw):
         items = list(items)
-        first_count = sum(models[-1][r] for r, _ in items)
-        built.append((cluster_of[frozenset(r for r, _ in items)],
+        first_count = sum(search.holds(models[-1], lit) for lit, _ in items)
+        built.append((cluster_of[frozenset(lit for lit, _ in items)],
                       [w for _, w in items], max_bound, first_count))
         return real(items, max_bound, sink, **kw)
 
@@ -736,9 +736,82 @@ def test_search_reports_are_pinned(monkeypatch):
     }
     # (conflicts, path digest)
     assert paths == {
-        "random": (12, "cff3371fd7704816"),
-        "fidelity": (231, "21a6757563148d1c"),
+        "random": (12, "a85b4872ecdf768c"),
+        "fidelity": (212, "154a29fb0f6b3353"),
         "three-tier": (381, "5f2c261b0b5a6fed"),
-        "capped": (2, "f56c515c11cb26c5"),
-        "planted": (208, "56dd461a4d4fd723"),
+        "capped": (2, "cb16de970d7fc2e9"),
+        "planted": (192, "70bbc98f4bad2461"),
     }
+
+
+# ----------------------------------------------------------------------
+# soft units as objective literals
+
+def shared_unit_formula(rng):
+    """A small formula whose soft units share variables: duplicate units
+    (x)(x), complementary units (y)(-y) and (-z)(z), a unit on a variable a
+    hard unit fixes, negative-literal units and non-unit soft clauses, in a
+    shuffled soft order, over random hard 3-clauses."""
+    n = rng.randint(6, 10)
+    x, y, z, fixed, *rest = rng.sample(range(1, n + 1), n)
+    sign = rng.choice((1, -1))
+
+    def weight():
+        return rng.choice((1, 2, 3, 5, 8, 13))
+
+    def signed(v):
+        return v if rng.random() < 0.5 else -v
+
+    hard = [wcnf.Clause.of([signed(v) for v in rng.sample(range(1, n + 1), 3)])
+            for _ in range(n)]
+    hard.append(wcnf.Clause.of([sign * fixed]))
+    units = [[x], [x], [y], [-y], [-z], [z], [rng.choice((1, -1)) * fixed]]
+    units += [[-v] for v in rng.sample(rest, 2)]
+    wide = [[signed(v) for v in rng.sample(range(1, n + 1), rng.randint(2, 3))]
+            for _ in range(4)] + [[x, signed(y)]]
+    soft = [(wcnf.Clause.of(lits), weight()) for lits in units + wide]
+    rng.shuffle(soft)
+    return wcnf.WcnfFormula(n, hard, soft)
+
+
+def test_shared_variable_soft_units_keep_every_answer_right():
+    exact = 0
+    for trial in range(12):
+        f = shared_unit_formula(seeded_rng(2700 + trial))
+        lits = wcnf.relax(f)
+        assert any(r > f.num_vars and len(c.lits) == 1 for (c, _), r in zip(f.soft, lits))
+        oracle = harness.brute_force_optimum(f)
+        for cfg in PAPER_CONFIGS:
+            report = search.solve(f, replace(cfg, seed=trial))
+            if oracle is None:
+                assert report.status == UNSATISFIABLE and report.best is None
+                continue
+            assert report.status in (OPTIMUM_FOR_APPROXIMATION, SATISFIABLE)
+            assert wcnf.check_model(f, report.best.assignment) == ("valid", report.cost)
+            assert report.cost >= oracle[0]
+            if report.exact:
+                exact += 1
+                assert report.cost == oracle[0]
+    assert exact == 24  # apx-weight m=0 and m=weights on every trial
+
+
+def test_all_unit_formula_loads_no_relaxation_variable_or_clause(monkeypatch):
+    rng = seeded_rng(2727)
+    n = 12
+    hard = [wcnf.Clause.of([v if rng.random() < 0.5 else -v
+                            for v in rng.sample(range(1, n + 1), 3)]) for _ in range(20)]
+    soft = [(wcnf.Clause.of([v if rng.random() < 0.5 else -v]), rng.randint(1, 9))
+            for v in range(1, n + 1)]
+    f = wcnf.WcnfFormula(n, hard, soft)
+    loaded = []
+
+    class Recording(search.SatSolver):
+        def solve(self, *args, **kw):
+            if not loaded:  # the first call runs on the loaded formula alone
+                loaded.append((self.num_vars, self.clauses_added))
+            return super().solve(*args, **kw)
+
+    monkeypatch.setattr(search, "SatSolver", Recording)
+    report = search.solve(f, weight_cfg(0))
+    assert loaded == [(f.num_vars, len(f.hard))]
+    assert report.exact and report.cost == harness.brute_force_optimum(f)[0]

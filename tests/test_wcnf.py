@@ -416,15 +416,23 @@ def test_parse_walks_each_clause_once_for_its_variables(monkeypatch):
 # ----------------------------------------------------------------------
 # relax
 
-def relaxed_soft(f, relax_of):
-    return [c.lits + (r,) for (c, _), r in zip(f.soft, relax_of)]
+def relaxed_soft(f, lits):
+    """The relaxed soft clauses: those whose objective literal is a
+    relaxation variable, each with that variable appended."""
+    return [c.lits + (r,) for (c, _), r in zip(f.soft, lits) if r > f.num_vars]
 
 
-def test_relax_assigns_sequential_fresh_ids(e1):
-    relax_of = relax(e1)
-    assert relax_of == (3, 4)
-    assert e1.num_vars + len(relax_of) == 4
-    assert relaxed_soft(e1, relax_of) == [(-1, 3), (-2, 4)]
+def test_relax_soft_units_are_their_own_negated_literals(e1):
+    lits = relax(e1)  # e1's soft clauses are the units (-1) and (-2)
+    assert lits == (1, 2)
+    assert relaxed_soft(e1, lits) == []
+
+
+def test_relax_assigns_sequential_fresh_ids():
+    f = WcnfFormula(3, [], [(Clause.of([1, 2]), 1), (Clause.of([-2, 3]), 1),
+                            (Clause.of([3, 1]), 1)])
+    assert relax(f) == (4, 5, 6)
+    assert relaxed_soft(f, relax(f)) == [(1, 2, 4), (-2, 3, 5), (3, 1, 6)]
 
 
 def test_relax_empty_soft():
@@ -433,23 +441,42 @@ def test_relax_empty_soft():
 
 
 def test_relax_three_soft_clauses():
-    f = WcnfFormula(3, [], [(Clause.of([1]), 1), (Clause.of([2]), 1),
+    f = WcnfFormula(3, [], [(Clause.of([1]), 1), (Clause.of([-2]), 1),
                             (Clause.of([3]), 1)])
-    assert relax(f) == (4, 5, 6)
+    assert relax(f) == (-1, 2, -3)
+
+
+def test_relax_first_soft_unit_on_a_variable_takes_it():
+    # (1) takes variable 1; the later (1) and (-1) get fresh variables, in
+    # soft order with the non-unit (2 3) between them
+    f = WcnfFormula(3, [], [(Clause.of([1]), 1), (Clause.of([1]), 2),
+                            (Clause.of([2, 3]), 3), (Clause.of([-1]), 4),
+                            (Clause.of([-2]), 5), (Clause.of([3]), 6)])
+    lits = relax(f)
+    assert lits == (-1, 4, 5, 6, 2, -3)
+    assert relaxed_soft(f, lits) == [(1, 4), (2, 3, 5), (-1, 6)]
 
 
 @given(formula_strategy())
 def test_relax_extension_preserves_models(f):
-    relax_of = relax(f)
+    lits = relax(f)
+    fresh = [r for r in lits if r > f.num_vars]
+    assert fresh == list(range(f.num_vars + 1, f.num_vars + 1 + len(fresh)))
+    own = [abs(r) for r in lits if r <= f.num_vars]
+    assert len(own) == len(set(own))  # one soft unit per variable at most
+    for (c, _), r in zip(f.soft, lits):
+        assert r > f.num_vars or c.lits == (-r,)
     for assignment in all_assignments(f.num_vars):
-        if not all(c.satisfied_by(assignment) for c in f.hard):
-            continue
+        # the least extension: a relaxation variable is true where its
+        # clause is violated, and every relaxed clause then holds
         ext = dict(assignment)
-        for i, (c, _) in enumerate(f.soft):
-            ext[relax_of[i]] = not c.satisfied_by(assignment)
-        for lits in relaxed_soft(f, relax_of):
-            assert any(ext[abs(l)] == (l > 0) for l in lits)
-        break
+        for (c, _), r in zip(f.soft, lits):
+            if r > f.num_vars:
+                ext[r] = not c.satisfied_by(assignment)
+        for clause in relaxed_soft(f, lits):
+            assert any(ext[abs(l)] == (l > 0) for l in clause)
+        for (c, _), r in zip(f.soft, lits):
+            assert (ext[abs(r)] == (r > 0)) == (not c.satisfied_by(assignment))
 
 
 # ----------------------------------------------------------------------
